@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+from .detect import _top_edge
 from .exact import verify_support, VerifierOutcome
 from .graphs import (
     DistanceMatrix,
@@ -145,19 +146,13 @@ def five_cycle_cover(d: DistanceMatrix) -> ApproxReport:
     two more cover edges); their edges join the returned support.  The final
     increase-only verification is expected to accept; a rejection raises.
     """
-    rows = d.rows()
-    n = d.n
+    g = d.to_graph()
+    _, intw = g.integer_form()
     cover: set = set()
-    for cycle in short_cycles_complete(n):
+    for cycle in short_cycles_complete(d.n):
         m = len(cycle)
         edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
-        weights = [rows[e[0]][e[1]] for e in edges]
-        total = sum(weights, Fraction(0))
-        top = None
-        for e, w in zip(edges, weights):
-            if 2 * w > total:
-                top = e
-                break
+        top = _top_edge(intw, edges)
         if top is None:
             continue
         if any(e != top and e in cover for e in edges):
@@ -166,7 +161,6 @@ def five_cycle_cover(d: DistanceMatrix) -> ApproxReport:
     stage_one = frozenset(cover)
     support = stage_one | embedded_square_edges(stage_one)
 
-    g = d.to_graph()
     outcome = verify_support(g, support, OmegaClass.INCREASE_ONLY)
     if not outcome.accepted:
         raise SupportRejectedError(outcome)

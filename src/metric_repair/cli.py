@@ -16,7 +16,7 @@ import sys
 
 from . import bench as bench_mod
 from .approx import SupportRejectedError
-from .detect import broken_triangles, find_broken_witness, instance_stats, is_metric
+from .detect import broken_triangles, find_broken_witness, is_metric
 from .exact import verify_support
 from .fileio import (
     DeltaDocument,
@@ -185,8 +185,8 @@ def cmd_verify(args) -> int:
 
 def cmd_detect(args) -> int:
     graph = _load_graph(args.input, args.input_format)
-    stats = instance_stats(graph)
-    print(f"is_metric: {str(stats.is_metric).lower()}")
+    metric = is_metric(graph)
+    print(f"is_metric: {str(metric).lower()}")
     if not args.triangles_only:
         witness = find_broken_witness(graph)
         if witness is not None:
@@ -196,7 +196,7 @@ def cmd_detect(args) -> int:
     print(f"broken_triangles: {len(triangles)}")
     for t in triangles:
         print(f"triangle: {t.cycle} top={t.top_edge}")
-    return EXIT_OK if stats.is_metric else EXIT_NO_SOLUTION
+    return EXIT_OK if metric else EXIT_NO_SOLUTION
 
 
 def cmd_gen(args) -> int:

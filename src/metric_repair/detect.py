@@ -5,12 +5,16 @@ the others; that heavy edge is the cycle's top edge and the rest are bottom
 edges.  A weighted graph satisfies a metric exactly when it has no broken
 cycle, which is equivalent to every edge being a shortest path between its
 endpoints (ties are fine: equality does not break a cycle).
+
+Broken-cycle tests run on the graph's scaled integer weights
+(``WeightedGraph.integer_form``): multiplying every weight by the same
+positive scale leaves ``2 * w(top) > w(cycle)`` unchanged, and Python ints
+are exact at any size, so the test stays exact without touching a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from .graphs import (
     BrokenCycleWitness,
@@ -46,25 +50,17 @@ def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
 
 def broken_triangles(g: WeightedGraph) -> tuple[BrokenCycleWitness, ...]:
     """All broken 3-cycles, each with its top edge, in deterministic order."""
+    _, intw = g.integer_form()
+    adjacent = [set(g.neighbors(v)) for v in range(g.n)]
     out = []
     for (u, v) in g.edges:
-        for x in g.common_neighbors(u, v):
-            if x <= v:
+        for x in g.neighbors(v):
+            if x <= v or x not in adjacent[u]:
                 continue  # count each triangle once via its two smallest vertices
-            witness = _triangle_witness(g, u, v, x)
-            if witness is not None:
-                out.append(witness)
+            top = _top_edge(intw, ((u, v), (u, x), (v, x)))
+            if top is not None:
+                out.append(BrokenCycleWitness(cycle=(u, v, x), top_edge=top))
     return tuple(out)
-
-
-def _triangle_witness(g: WeightedGraph, a: int, b: int, c: int) -> BrokenCycleWitness | None:
-    edges = (edge_key(a, b), edge_key(a, c), edge_key(b, c))
-    weights = [g.weight(*e) for e in edges]
-    total = sum(weights, Fraction(0))
-    for e, w in zip(edges, weights):
-        if 2 * w > total:
-            return BrokenCycleWitness(cycle=(a, b, c), top_edge=e)
-    return None
 
 
 def cycle_top_edge(g: WeightedGraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
@@ -74,12 +70,20 @@ def cycle_top_edge(g: WeightedGraph, cycle: tuple[int, ...]) -> tuple[int, int] 
     edge is unique whenever it exists.
     """
     m = len(cycle)
-    edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
-    weights = [g.weight(*e) for e in edges]
-    total = sum(weights, Fraction(0))
-    for e, w in zip(edges, weights):
-        if 2 * w > total:
-            return e
+    return _top_edge(g.integer_form()[1],
+                     [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)])
+
+
+def _top_edge(intw: Mapping[tuple[int, int], int],
+              edges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """Top edge of the cycle ``edges`` under scaled integer weights, or None.
+
+    Only the heaviest edge can outweigh all the others together.
+    """
+    weights = [intw[e] for e in edges]
+    heaviest = max(weights)
+    if 2 * heaviest > sum(weights):
+        return edges[weights.index(heaviest)]
     return None
 
 

@@ -26,6 +26,7 @@ from metric_repair import (
 )
 from metric_repair.approx import embedded_square_edges, short_cycles_complete, _sweep_numpy
 from metric_repair.detect import cycle_top_edge
+from metric_repair.graphs import edge_key
 from metric_repair.gadgets import (
     component_blocks,
     cycle_tight,
@@ -208,6 +209,58 @@ def test_five_cycle_cover_validity_on_planted_instances():
         report = five_cycle_cover(d)
         assert is_metric(apply_delta(d.to_graph(), report.delta))
         assert all(v >= 0 for _, v in report.delta.items())
+
+
+def fraction_stage_one_cover(d):
+    """Reference greedy over short cycles, testing brokenness in Fractions."""
+    rows = d.rows()
+    cover = set()
+    for cycle in short_cycles_complete(d.n):
+        m = len(cycle)
+        edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
+        weights = [rows[u][v] for (u, v) in edges]
+        total = sum(weights, Fraction(0))
+        top = next((e for e, w in zip(edges, weights) if 2 * w > total), None)
+        if top is None or any(e != top and e in cover for e in edges):
+            continue
+        cover.update(edges)
+    return frozenset(cover)
+
+
+def rational_matrix(rng, n):
+    """Random matrix whose entries mix denominators and include zeros."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = Fraction(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 4, 6, 7)))
+            rows[i][j] = rows[j][i] = w
+    return rows
+
+
+def test_five_cycle_cover_equals_fraction_greedy():
+    # Mixed denominators, zeros, a common denominator past 2**62 (1/p on three
+    # entries, p prime) and exact rational ties on a triangle.
+    big = (2097143, 2097169, 2097211)
+    matrices = []
+    for seed in range(8):
+        rng = random.Random(12_000 + seed)
+        rows = rational_matrix(rng, rng.randint(4, 7))
+        matrices.append(DistanceMatrix(rows))
+        for (i, j), p in zip(((0, 1), (0, 2), (1, 2)), big):
+            rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, p)
+        matrices.append(DistanceMatrix(rows))
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    matrices.append(DistanceMatrix([[0, third + half, half, 1],
+                                    [third + half, 0, third, 0],
+                                    [half, third, 0, 0],
+                                    [1, 0, 0, 0]]))
+    assert matrices[1].to_graph().integer_form()[0] > 2 ** 62
+    nonempty = 0
+    for d in matrices:
+        report = five_cycle_cover(d)
+        assert report.stage_one_cover == fraction_stage_one_cover(d)
+        nonempty += bool(report.stage_one_cover)
+    assert nonempty >= 10
 
 
 def test_embedded_square_detection():

@@ -174,6 +174,30 @@ def test_detect_exit_codes_and_output(tmp_path, capsys):
     assert "is_metric: true" in capsys.readouterr().out
 
 
+def test_detect_scans_broken_triangles_once(tmp_path, capsys, monkeypatch):
+    # Patched under both bindings, so a scan from inside the detect module
+    # (e.g. through instance_stats) is counted as well.
+    from metric_repair import cli, detect
+
+    calls = []
+    original = detect.broken_triangles
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(detect, "broken_triangles", counting)
+    monkeypatch.setattr(cli, "broken_triangles", counting)
+    inp = tmp_path / "b.txt"
+    write(inp, "0 1 9\n1 2 1\n0 2 1\n0 3 1\n1 3 1\n")
+    for extra in ([], ["--triangles-only"]):
+        calls.clear()
+        assert run_cli(["detect", str(inp), *extra]) == 1
+        assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "broken_triangles: 2" in out
+
+
 def test_gen_writes_deterministic_edge_list(tmp_path, capsys):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

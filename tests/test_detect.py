@@ -101,16 +101,107 @@ def test_broken_triangles_match_triple_scan_on_k5():
     for seed in range(10):
         rng = random.Random(3000 + seed)
         g = random_graph(rng, 5, 10, weights=(0, 9))
-        expected = set()
-        for (a, b, c) in combinations(range(5), 3):
-            edges = [edge_key(a, b), edge_key(a, c), edge_key(b, c)]
-            ws = [g.weight(*e) for e in edges]
-            total = sum(ws, Fraction(0))
-            for e, w in zip(edges, ws):
-                if 2 * w > total:
-                    expected.add(((a, b, c), e))
-        got = {(tuple(sorted(t.cycle)), t.top_edge) for t in broken_triangles(g)}
-        assert got == expected
+        got = [(t.cycle, t.top_edge) for t in broken_triangles(g)]
+        assert got == fraction_triangles(g)  # same top edges, lexicographic order
+
+
+# -- the integer broken-cycle test against a Fraction definition ----------------
+
+# Primes whose product exceeds 2**62, so a graph carrying 1/p for all three
+# has a common denominator past the int64 range.
+BIG_PRIMES = (2097143, 2097169, 2097211)
+
+
+def fraction_top_edge(g, cycle):
+    """Reference predicate: the edge outweighing the rest of ``cycle``, in Fractions."""
+    m = len(cycle)
+    edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
+    weights = [g.weight(*e) for e in edges]
+    total = sum(weights, Fraction(0))
+    for e, w in zip(edges, weights):
+        if 2 * w > total:
+            return e
+    return None
+
+
+def fraction_triangles(g):
+    """Broken triangles with their top edges, in lexicographic vertex order."""
+    out = []
+    for (a, b, c) in combinations(range(g.n), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            top = fraction_top_edge(g, (a, b, c))
+            if top is not None:
+                out.append(((a, b, c), top))
+    return out
+
+
+def rational_graph(seed, n, m):
+    """Random graph whose weights mix denominators and include zeros."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    return WeightedGraph(n, (
+        (u, v, Fraction(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 4, 6, 7))))
+        for (u, v) in pairs[:m]))
+
+
+def with_big_denominators(g):
+    """``g`` with 1/p added to its first three edges, for each p in BIG_PRIMES."""
+    bumped = g.replace_weights(
+        {e: g.weight(*e) + Fraction(1, p) for e, p in zip(g.edges, BIG_PRIMES)})
+    assert bumped.integer_form()[0] > 2 ** 62
+    return bumped
+
+
+def tie_graphs():
+    """Cycles whose heaviest edge exactly equals the rest, or just exceeds it."""
+    third = Fraction(1, 3)
+    half = Fraction(1, 2)
+    yield WeightedGraph(3, [(0, 1, third + half), (0, 2, half), (1, 2, third)])
+    a, b, c = (Fraction(1, p) for p in BIG_PRIMES)
+    tie = WeightedGraph(4, [(0, 1, a + b + c), (1, 2, a), (2, 3, b), (0, 3, c),
+                            (0, 2, a + b), (1, 3, b + c)])
+    assert tie.integer_form()[0] > 2 ** 62
+    yield tie
+    yield tie.replace_weights({(0, 1): a + b + c + Fraction(1, 10 ** 30)})
+    yield WeightedGraph(4, [(u, v, 0) for (u, v) in combinations(range(4), 2)])
+    yield WeightedGraph(4, [(0, 1, Fraction(1, 7)), (0, 2, 0), (1, 2, 0), (2, 3, 0),
+                            (1, 3, 0), (0, 3, 0)])
+
+
+def equivalence_graphs():
+    for seed in range(12):
+        n = 4 + seed % 3
+        for m in (n * (n - 1) // 2, n + 1):  # complete, then sparse
+            g = rational_graph(6000 + seed, n, m)
+            yield g
+            yield with_big_denominators(g)
+    yield from tie_graphs()
+
+
+def test_broken_triangles_equal_fraction_definition():
+    broken = 0
+    for g in equivalence_graphs():
+        got = [(t.cycle, t.top_edge) for t in broken_triangles(g)]
+        assert got == fraction_triangles(g)
+        broken += len(got)
+    assert broken >= 50  # the sweep exercised broken triangles, not only metric ones
+
+
+def test_cycle_top_edge_equals_fraction_definition():
+    for g in equivalence_graphs():
+        for cycle in simple_cycles(g):
+            assert cycle_top_edge(g, cycle) == fraction_top_edge(g, cycle), cycle
+
+
+def test_exact_ties_do_not_break_a_cycle():
+    exact, big_tie, nudged, zeros, one_heavy = tie_graphs()
+    assert broken_triangles(exact) == ()
+    assert cycle_top_edge(big_tie, (0, 1, 2, 3)) is None
+    assert cycle_top_edge(nudged, (0, 1, 2, 3)) == (0, 1)
+    assert broken_triangles(zeros) == ()
+    assert [(t.cycle, t.top_edge) for t in broken_triangles(one_heavy)] == [
+        ((0, 1, 2), (0, 1)), ((0, 1, 3), (0, 1))]
 
 
 def test_longest_broken_cycle_examples():
