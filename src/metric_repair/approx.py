@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
 
 from .detect import _top_edge
 from .exact import verify_support, VerifierOutcome
@@ -33,10 +32,9 @@ from .graphs import (
     WeightedGraph,
     edge_key,
 )
-from .paths import apsp
+from .paths import _INT64_SAFE, _scaled_apsp
 
 _SWEEP_NUMPY_MIN_N = 48
-_INT64_SAFE = 2 ** 62
 
 
 class SupportRejectedError(MetricRepairError):
@@ -80,15 +78,15 @@ def general_shortest_path_cover(
 def _path_cover(g: WeightedGraph, close_cycle: bool, omega: OmegaClass) -> ApproxReport:
     support: set = set()
     batches: list[tuple] = []
-    working = g.weight_map()
+    scale, intw = g.integer_form()
+    working = dict(intw)
     iterations = 0
     while True:
         iterations += 1
-        snapshot = WeightedGraph(g.n, ((u, v, w) for (u, v), w in working.items()))
-        d = apsp(snapshot)
+        d = _scaled_apsp(g.n, scale, working)
         pending = []
-        for (u, v) in snapshot.edges:
-            if d.dist(u, v) < working[(u, v)]:
+        for (u, v) in sorted(working):
+            if d.row(u)[v] < working[(u, v)]:
                 path = d.path(u, v)
                 path_edges = frozenset(
                     edge_key(path[i], path[i + 1]) for i in range(len(path) - 1))
@@ -202,9 +200,11 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
     metric and touches at most (n-1)(n-2) matrix cells.
     """
     n = d.n
-    integer = _matrix_integer_form(d)
-    if integer is not None and n >= _SWEEP_NUMPY_MIN_N:
-        scale, int_rows = integer
+    scale, intw = d.to_graph().integer_form()
+    if n >= _SWEEP_NUMPY_MIN_N and max(intw.values()) < _INT64_SAFE:
+        int_rows = [[0] * n for _ in range(n)]
+        for (i, j), w in intw.items():
+            int_rows[i][j] = int_rows[j][i] = w
         raised = _sweep_numpy(n, int_rows)
         entries = {}
         for i in range(n):
@@ -237,17 +237,6 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
 def repaired_cell_count(delta: RepairDelta) -> int:
     """Number of matrix cells a delta touches (each pair counts twice)."""
     return 2 * delta.norm0()
-
-
-def _matrix_integer_form(d: DistanceMatrix):
-    scale = 1
-    for row in d.rows():
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    top = max((x for row in d.rows() for x in row), default=Fraction(0))
-    if top * scale >= _INT64_SAFE:
-        return None
-    return scale, [[int(x * scale) for x in row] for row in d.rows()]
 
 
 def _sweep_numpy(n: int, int_rows) -> list[list[int]]:

@@ -26,7 +26,7 @@ from .graphs import (
     WeightedGraph,
     edge_key,
 )
-from .paths import apsp
+from .paths import _scaled_apsp, apsp
 
 Support = frozenset
 
@@ -68,21 +68,21 @@ def verify_support(g: WeightedGraph, support: Iterable[tuple[int, int]],
     if omega is OmegaClass.DECREASE_ONLY:
         raise PreconditionError("verify_support handles increase-only and general repairs")
     s = normalize_support(g, support)
-    cap = g.max_weight()
-    modified = g.replace_weights({e: cap for e in s}) if s else g
-    d = apsp(modified)
+    scale, intw = g.integer_form()
+    cap = max(intw.values(), default=0)
+    d = _scaled_apsp(g.n, scale, {**intw, **dict.fromkeys(s, cap)})
 
+    # Rows are searched as the edge walk reads them, so a rejection stops early.
     entries: dict[tuple[int, int], Fraction] = {}
-    for (u, v), old in g.weight_map().items():
-        new = d.dist(u, v)
-        assert new is not None  # the edge itself bounds the distance
+    for (u, v), old in intw.items():
+        new = d.row(u)[v]  # never None: the edge itself bounds the distance
         if new == old:
             continue
         if (u, v) not in s:
             return VerifierOutcome(None, RejectionReason.CHANGED_OUTSIDE_SUPPORT)
         if omega is OmegaClass.INCREASE_ONLY and new < old:
             return VerifierOutcome(None, RejectionReason.DECREASED_IN_INCREASE_MODE)
-        entries[(u, v)] = new - old
+        entries[(u, v)] = Fraction(new - old, scale)
     return VerifierOutcome(RepairDelta(entries, omega), None)
 
 
@@ -97,10 +97,10 @@ def decrease_repair(g: WeightedGraph) -> RepairDelta:
     """
     d = apsp(g)
     entries = {}
-    for (u, v), w in g.weight_map().items():
-        dist = d.dist(u, v)
+    for (u, v), w in d.intw.items():
+        dist = d.row(u)[v]
         if dist < w:
-            entries[(u, v)] = dist - w
+            entries[(u, v)] = Fraction(dist - w, d.scale)
     return RepairDelta(entries, OmegaClass.DECREASE_ONLY)
 
 

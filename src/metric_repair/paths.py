@@ -1,12 +1,15 @@
-"""All-pairs shortest paths with exact arithmetic.
+"""All-pairs shortest paths on scaled integer weights.
 
-Two engines are provided and must agree exactly:
+Distances stay on the integer scale of the graph's ``integer_form()``:
+``row(u)[v]`` is ``scale`` times the distance from ``u`` to ``v`` (None when
+unreachable), so callers compare it with scaled edge weights exactly, and a
+``Fraction`` is built only when ``dist()`` is read.  Two engines must agree:
 
-* ``dense`` -- matrix relaxation (Floyd-Warshall).  When the weights scale to
-  integers that fit comfortably in 64 bits, large instances run through a
-  vectorized numpy loop; everything else uses pure Python over exact numbers.
-* ``sparse`` -- per-source priority-queue search (Dijkstra; weights are
-  nonnegative).
+* ``dense`` -- matrix relaxation (Floyd-Warshall) filling every row at once,
+  through a vectorized numpy int64 loop on large instances whose distances
+  fit comfortably in 64 bits and over Python ints otherwise.
+* ``sparse`` -- priority-queue search (Dijkstra; weights are nonnegative),
+  run for a source the first time its row is read.
 
 ``engine="auto"`` picks dense when ``m > n^2/4`` and sparse otherwise.
 
@@ -28,18 +31,36 @@ _INT64_SAFE = 2 ** 62
 
 
 class ApspResult:
-    """Exact distances plus lazily built canonical predecessor trees."""
+    """Scaled integer distances plus lazily built canonical predecessor trees.
 
-    __slots__ = ("graph", "_dist", "_parents")
+    ``scale`` and ``intw`` are the ``(scale, {edge: int})`` pair the distances
+    were computed from; rows the engine left unfilled are searched on first read.
+    """
 
-    def __init__(self, graph: WeightedGraph, dist: list[list[Fraction | None]]):
-        self.graph = graph
-        self._dist = dist
+    __slots__ = ("scale", "intw", "_rows", "_adj", "_parents")
+
+    def __init__(self, n: int, scale: int, intw: dict, rows: list | None = None):
+        self.scale = scale
+        self.intw = intw
+        self._rows = rows or [None] * n
+        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v), w in intw.items():
+            self._adj[u].append((v, w))
+            self._adj[v].append((u, w))
         self._parents: dict[int, tuple[int | None, ...]] = {}
+
+    def row(self, u: int) -> list[int | None]:
+        """Scaled distances from ``u`` to every vertex (None when unreachable)."""
+        if self._rows[u] is None:
+            self._rows[u] = _dijkstra(self._adj, u)
+        return self._rows[u]
 
     def dist(self, u: int, v: int) -> Fraction | None:
         """Shortest-path distance, or None when disconnected."""
-        return self._dist[u][v]
+        x = self.row(u)[v]
+        if x is None:
+            return None
+        return Fraction(x) if self.scale == 1 else Fraction(x, self.scale)
 
     def parents(self, source: int) -> tuple[int | None, ...]:
         """Canonical shortest-path tree rooted at ``source``.
@@ -49,12 +70,12 @@ class ApspResult:
         vertices.
         """
         if source not in self._parents:
-            self._parents[source] = _canonical_parents(self.graph, self._dist[source], source)
+            self._parents[source] = _canonical_parents(self._adj, self.row(source), source)
         return self._parents[source]
 
     def path(self, u: int, v: int) -> tuple[int, ...] | None:
         """One canonical shortest path from ``u`` to ``v`` (inclusive)."""
-        if self._dist[u][v] is None:
+        if self.row(u)[v] is None:
             return None
         if u == v:
             return (u,)
@@ -70,37 +91,41 @@ class ApspResult:
 
 def apsp(g: WeightedGraph, engine: str = "auto") -> ApspResult:
     """All-pairs shortest paths of ``g``; results are cached per engine."""
+    engine = _pick_engine(g.n, g.m, engine)
+    cached = g._apsp_cache.get(engine)
+    if cached is None:
+        scale, intw = g.integer_form()
+        cached = g._apsp_cache[engine] = _scaled_apsp(g.n, scale, intw, engine)
+    return cached
+
+
+def _scaled_apsp(n: int, scale: int, intw: dict[tuple[int, int], int],
+                 engine: str = "auto") -> ApspResult:
+    """Shortest paths on vertices ``0..n-1`` with scaled integer edge weights.
+
+    The uncached kernel entry behind ``apsp``, for callers holding a one-off
+    integer edge map.
+    """
+    if _pick_engine(n, len(intw), engine) == "sparse":
+        return ApspResult(n, scale, intw)
+    sentinel = max(intw.values(), default=0) * max(n, 1) + 1
+    if sentinel < _INT64_SAFE and n >= _NUMPY_MIN_N:
+        return ApspResult(n, scale, intw, _dense_int_numpy(n, intw, sentinel))
+    return ApspResult(n, scale, intw, _dense_int_python(n, intw, sentinel))
+
+
+def _pick_engine(n: int, m: int, engine: str) -> str:
     if engine == "auto":
-        engine = "dense" if g.m > g.n * g.n / 4 else "sparse"
+        return "dense" if m > n * n / 4 else "sparse"
     if engine not in ("dense", "sparse"):
         raise ValueError(f"unknown engine {engine!r}")
-    cached = g._apsp_cache.get(engine)
-    if cached is not None:
-        return cached
-    if engine == "dense":
-        dist = _dense_dist(g)
-    else:
-        dist = _sparse_dist(g)
-    result = ApspResult(g, dist)
-    g._apsp_cache[engine] = result
-    return result
+    return engine
 
 
 # -- dense engine -----------------------------------------------------------
 
 
-def _dense_dist(g: WeightedGraph) -> list[list[Fraction | None]]:
-    n = g.n
-    scale, intw = g.integer_form()
-    max_w = max(intw.values(), default=0)
-    sentinel = max_w * max(n, 1) + 1
-    if sentinel < _INT64_SAFE and n >= _NUMPY_MIN_N:
-        return _dense_int_numpy(g, scale, intw, sentinel)
-    return _dense_int_python(g, scale, intw, sentinel)
-
-
-def _dense_int_python(g, scale, intw, sentinel):
-    n = g.n
+def _dense_int_python(n: int, intw, sentinel: int) -> list[list[int | None]]:
     d = [[sentinel] * n for _ in range(n)]
     for i in range(n):
         d[i][i] = 0
@@ -119,13 +144,12 @@ def _dense_int_python(g, scale, intw, sentinel):
                 alt = dik + dk[j]
                 if alt < row[j]:
                     row[j] = alt
-    return _descale(d, scale, sentinel, n)
+    return _unreached_to_none(d, sentinel)
 
 
-def _dense_int_numpy(g, scale, intw, sentinel):
+def _dense_int_numpy(n: int, intw, sentinel: int) -> list[list[int | None]]:
     import numpy as np
 
-    n = g.n
     d = np.full((n, n), sentinel, dtype=np.int64)
     np.fill_diagonal(d, 0)
     for (u, v), w in intw.items():
@@ -134,40 +158,23 @@ def _dense_int_numpy(g, scale, intw, sentinel):
             d[v, u] = w
     for k in range(n):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return _descale(d.tolist(), scale, sentinel, n)
+    return _unreached_to_none(d.tolist(), sentinel)
 
 
-def _descale(int_rows, scale, sentinel, n):
-    if scale == 1:
-        return [[(None if x >= sentinel else Fraction(x)) for x in row] for row in int_rows]
-    return [[(None if x >= sentinel else Fraction(x, scale)) for x in row] for row in int_rows]
+def _unreached_to_none(rows: list[list[int]], sentinel: int) -> list[list[int | None]]:
+    # Relaxation leaves every unreachable entry at exactly the sentinel.
+    return [[None if x == sentinel else x for x in row] if sentinel in row else row
+            for row in rows]
 
 
 # -- sparse engine ----------------------------------------------------------
 
 
-def _sparse_dist(g: WeightedGraph) -> list[list[Fraction | None]]:
-    n = g.n
-    scale, intw = g.integer_form()
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), w in intw.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    dist: list[list[Fraction | None]] = []
-    for s in range(n):
-        row_int = _dijkstra(adj, n, s)
-        if scale == 1:
-            dist.append([None if x is None else Fraction(x) for x in row_int])
-        else:
-            dist.append([None if x is None else Fraction(x, scale) for x in row_int])
-    return dist
-
-
-def _dijkstra(adj, n, source):
-    dist: list[int | None] = [None] * n
+def _dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list[int | None]:
+    dist: list[int | None] = [None] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
-    done = [False] * n
+    done = [False] * len(adj)
     while heap:
         du, u = heapq.heappop(heap)
         if done[u]:
@@ -184,24 +191,25 @@ def _dijkstra(adj, n, source):
 # -- canonical predecessor trees ---------------------------------------------
 
 
-def _canonical_parents(g: WeightedGraph, drow, source: int) -> tuple[int | None, ...]:
+def _canonical_parents(adj: list[list[tuple[int, int]]], drow: list[int | None],
+                       source: int) -> tuple[int | None, ...]:
     # Settle vertices one at a time.  A vertex becomes eligible once some
     # settled neighbor p satisfies dist[p] + w(p,v) == dist[v]; among eligible
     # vertices the smallest (dist, id) settles next, attached to its smallest
     # settled tight predecessor.  This stays acyclic even across zero-weight
     # plateaus, where a naive "smallest tight predecessor" rule can loop.
     # Candidates are maintained incrementally as vertices settle.
-    n = g.n
+    n = len(adj)
     parent: list[int | None] = [None] * n
     settled = [False] * n
     candidate: list[int | None] = [None] * n
 
     def relax_from(p: int) -> None:
         dp = drow[p]
-        for v in g.neighbors(p):
+        for v, w in adj[p]:
             if settled[v] or drow[v] is None:
                 continue
-            if dp + g.weight(p, v) == drow[v]:
+            if dp + w == drow[v]:
                 if candidate[v] is None or p < candidate[v]:
                     candidate[v] = p
 

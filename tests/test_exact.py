@@ -20,11 +20,12 @@ from metric_repair import (
     is_metric,
     verify_support,
 )
+from metric_repair import paths
 from metric_repair.gadgets import cycle_tight
 from metric_repair.oracle import brute_force_opt
 from metric_repair.paths import apsp
 
-from conftest import random_graph, random_mixed_instance
+from conftest import all_simple_path_dist, random_graph, random_mixed_instance
 
 
 C5 = WeightedGraph(5, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)])
@@ -33,6 +34,23 @@ METRIC_TRIANGLE = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
 def powerset(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+
+
+def reference_verify(g, support, omega):
+    """The Verifier on Fractions: raise the support, re-measure every edge by brute force."""
+    s = frozenset(support)
+    raised = g.replace_weights({e: g.max_weight() for e in s})
+    entries = {}
+    for (u, v), old in g.weight_map().items():
+        new = all_simple_path_dist(raised, u, v)
+        if new == old:
+            continue
+        if (u, v) not in s:
+            return False, RejectionReason.CHANGED_OUTSIDE_SUPPORT, None
+        if omega is OmegaClass.INCREASE_ONLY and new < old:
+            return False, RejectionReason.DECREASED_IN_INCREASE_MODE, None
+        entries[(u, v)] = new - old
+    return True, None, RepairDelta(entries, omega)
 
 
 # -- verifier -----------------------------------------------------------------
@@ -128,6 +146,48 @@ def test_verifier_matches_covering_characterization_exhaustively():
                 verified = verify_support(g, s, omega).accepted
                 covered = covers_broken_cycles(g, s, omega, budget=6)
                 assert verified == covered, (seed, omega, s)
+
+
+def test_verifier_matches_fraction_reference():
+    # Mixed denominators, zero weights, and one instance whose common
+    # denominator (2097143 * 2097169 * 2097211) is past 2^62.
+    graphs = []
+    for seed in range(16):
+        rng = random.Random(500 + seed)
+        g = random_graph(rng, 6, rng.randint(5, 11), weights=(0, 9))
+        graphs.append(g.replace_weights(
+            {e: g.weight(*e) / rng.choice((1, 2, 3, 5, 7)) for e in g.edges}))
+    base = random_graph(random.Random(520), 6, 10, weights=(0, 9))
+    big = base.replace_weights({e: base.weight(*e) + Fraction(1, p)
+                                for e, p in zip(base.edges, (2097143, 2097169, 2097211))})
+    assert big.integer_form()[0] > 2 ** 62
+    graphs.append(big)
+    assert any(g.weight(*e) == 0 for g in graphs for e in g.edges)
+    reasons = set()
+    for i, g in enumerate(graphs):
+        rng = random.Random(600 + i)
+        for size in (0, 1, 2, 3, len(g.edges) // 2, len(g.edges)):
+            support = frozenset(rng.sample(g.edges, size))
+            for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
+                out = verify_support(g, support, omega)
+                expected = reference_verify(g, support, omega)
+                assert (out.accepted, out.reason, out.delta) == expected, (i, support, omega)
+                reasons.add(out.reason)
+    assert reasons == {None, *RejectionReason}
+
+
+def test_verifier_rejection_stops_at_first_moved_edge(monkeypatch):
+    # The first edge in weight-map order, (0, 1), drops from 5 to 2 outside
+    # the support, so the Verifier needs the row of vertex 0 and nothing more.
+    g = WeightedGraph(8, [(0, 1, 5), (0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
+                          (4, 5, 1), (5, 6, 1), (6, 7, 1)])
+    searches = []
+    real = paths._dijkstra
+    monkeypatch.setattr(paths, "_dijkstra",
+                        lambda *args: searches.append(args[-1]) or real(*args))
+    out = verify_support(g, [(6, 7)], OmegaClass.GENERAL)
+    assert out.reason is RejectionReason.CHANGED_OUTSIDE_SUPPORT
+    assert searches == [0]
 
 
 def test_covering_check_examples():

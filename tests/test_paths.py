@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from metric_repair import WeightedGraph, apsp
+from metric_repair import WeightedGraph, apsp, paths
 from metric_repair.paths import _dense_int_numpy, _dense_int_python
 
 from conftest import all_simple_path_dist, random_graph
@@ -67,14 +67,46 @@ def test_engines_agree_on_integers_and_fractions():
                     assert dense.dist(u, v) == sparse.dist(u, v)
 
 
-def test_numpy_and_python_dense_kernels_agree():
-    for seed in range(5):
-        rng = random.Random(300 + seed)
-        g = random_graph(rng, 9, 20, weights=(0, 50))
+def _guard_graph(rng: random.Random, top: int) -> WeightedGraph:
+    # n = 64 with weights in [top / 2, top], ``top`` among them, and vertex 63
+    # isolated, so the relaxation adds sentinel to sentinel as well as long
+    # distances.
+    g = random_graph(rng, 63, 200, weights=(top // 2, top))
+    weights = {e: g.weight(*e) for e in g.edges}
+    weights[g.edges[0]] = top
+    return WeightedGraph(64, ((u, v, w) for (u, v), w in weights.items()))
+
+
+def test_numpy_and_python_dense_kernels_agree(monkeypatch):
+    # numpy int64 rows == Python rows == sparse Dijkstra rows (== brute-force
+    # distances on the small graphs), including at the int64 guard: at n = 64
+    # a largest weight of 2^56 - 1 gives the sentinel 2^62 - 63, so numpy
+    # runs, and 2^56 gives 2^62 + 1, so the Python kernel runs.
+    numpy_calls = []
+    real_numpy = paths._dense_int_numpy
+    monkeypatch.setattr(paths, "_dense_int_numpy",
+                        lambda *args: numpy_calls.append(args) or real_numpy(*args))
+    small = [random_graph(random.Random(300 + seed), 9, m, weights=(0, 50))
+             for seed, m in enumerate((20, 20, 20, 20, 20, 6, 8))]
+    rng = random.Random(307)
+    at_guard = [_guard_graph(rng, 2 ** 56 - 1), _guard_graph(rng, 2 ** 56)]
+    for g in small + at_guard:
         scale, intw = g.integer_form()
         sentinel = max(intw.values(), default=0) * g.n + 1
-        assert _dense_int_python(g, scale, intw, sentinel) == \
-            _dense_int_numpy(g, scale, intw, sentinel)
+        python_rows = _dense_int_python(g.n, intw, sentinel)
+        assert python_rows == [apsp(g, engine="sparse").row(u) for u in range(g.n)]
+        if sentinel < 2 ** 62:
+            assert _dense_int_numpy(g.n, intw, sentinel) == python_rows
+        numpy_calls.clear()
+        assert [apsp(g, engine="dense").row(u) for u in range(g.n)] == python_rows
+        assert len(numpy_calls) == (g.n >= 64 and sentinel < 2 ** 62)
+        if g.n < 64:
+            assert [[all_simple_path_dist(g, u, v) for v in range(g.n)]
+                    for u in range(g.n)] == \
+                [[None if x is None else Fraction(x, scale) for x in row]
+                 for row in python_rows]
+    assert [max(g.integer_form()[1].values()) * 64 + 1 for g in at_guard] == \
+        [2 ** 62 - 63, 2 ** 62 + 1]
 
 
 def test_distance_invariants():
@@ -117,11 +149,17 @@ def test_zero_weight_plateaus_reconstruct():
 
 
 def test_path_reconstruction_is_deterministic():
+    # Across runs and across engines; the second input has zero-weight
+    # plateaus and many equal-length paths.
     rng = random.Random(77)
-    g = random_graph(rng, 7, 14, weights=(0, 5))
-    first = apsp(g, engine="dense")
-    second = apsp(WeightedGraph(7, ((u, v, g.weight(u, v)) for (u, v) in g.edges)),
-                  engine="sparse")
-    for u in range(7):
-        for v in range(7):
-            assert first.path(u, v) == second.path(u, v)
+    plateaus = WeightedGraph(8, [(0, 1, 1), (0, 2, 1), (1, 2, 0), (1, 3, 1), (2, 3, 1),
+                                 (3, 4, 0), (3, 5, 0), (4, 5, 0), (4, 6, 2), (5, 6, 2),
+                                 (6, 7, 0), (0, 7, 4)])
+    for g in (random_graph(rng, 7, 14, weights=(0, 5)), plateaus):
+        first = apsp(g, engine="dense")
+        second = apsp(WeightedGraph(g.n, ((u, v, g.weight(u, v)) for (u, v) in g.edges)),
+                      engine="sparse")
+        sparse = apsp(g, engine="sparse")
+        for u in range(g.n):
+            for v in range(g.n):
+                assert first.path(u, v) == second.path(u, v) == sparse.path(u, v)
