@@ -10,10 +10,11 @@ most (L * OPT) support edges where L+1 bounds the broken-cycle length.  The
 general variant also moves each processed path's closing edge into the
 support, for an (L+1) * OPT bound.
 
-``five_cycle_cover`` and ``matrix_sweep_repair`` operate on the complete-graph
-view (a distance matrix): the former greedily covers every broken cycle on at
-most five vertices and then verifies, the latter performs a single cubic
-raising sweep over the matrix.
+``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, the
+checked view of a complete graph, and work on that graph's scaled integer
+weights: the former greedily covers every broken cycle on at most five
+vertices and then verifies, the latter performs a single cubic raising sweep
+over the integer matrix in one numpy kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .graphs import (
     edge_key,
 )
 from .paths import _INT64_SAFE, _scaled_apsp
-
-_SWEEP_NUMPY_MIN_N = 48
 
 
 class SupportRejectedError(MetricRepairError):
@@ -198,39 +197,21 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
     raised to ``max_j < i (D[i][j] - D[j][k])`` whenever that beats its current
     value, mirroring the update to ``(k, i)`` immediately.  The result is
     metric and touches at most (n-1)(n-2) matrix cells.
+
+    The sweep runs on the graph's scaled integer weights: a raised entry is a
+    difference of two entries, so it never exceeds the largest one, and numpy
+    ``int64`` is exact below ``paths._INT64_SAFE``; past it the same kernel
+    runs on exact Python ints (``dtype=object``).
     """
     n = d.n
     scale, intw = d.to_graph().integer_form()
-    if n >= _SWEEP_NUMPY_MIN_N and max(intw.values()) < _INT64_SAFE:
-        int_rows = [[0] * n for _ in range(n)]
-        for (i, j), w in intw.items():
-            int_rows[i][j] = int_rows[j][i] = w
-        raised = _sweep_numpy(n, int_rows)
-        entries = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if raised[i][j] != int_rows[i][j]:
-                    entries[(i, j)] = Fraction(raised[i][j] - int_rows[i][j], scale)
-        return RepairDelta(entries, OmegaClass.INCREASE_ONLY)
-
-    rows = [list(r) for r in d.rows()]
-    for k in range(n):
-        for i in range(n):
-            row_i = rows[i]
-            current = row_i[k]
-            best = current
-            for j in range(i):
-                cand = row_i[j] - rows[j][k]
-                if cand > best:
-                    best = cand
-            if best > current:
-                rows[i][k] = best
-                rows[k][i] = best
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != d.entry(i, j):
-                entries[(i, j)] = rows[i][j] - d.entry(i, j)
+    int_rows = [[0] * n for _ in range(n)]
+    for (i, j), w in intw.items():
+        int_rows[i][j] = int_rows[j][i] = w
+    dtype = "int64" if max(intw.values(), default=0) < _INT64_SAFE else object
+    raised = _sweep_numpy(int_rows, dtype)
+    entries = {(i, j): Fraction(raised[i][j] - w, scale)
+               for (i, j), w in intw.items() if raised[i][j] != w}
     return RepairDelta(entries, OmegaClass.INCREASE_ONLY)
 
 
@@ -239,10 +220,12 @@ def repaired_cell_count(delta: RepairDelta) -> int:
     return 2 * delta.norm0()
 
 
-def _sweep_numpy(n: int, int_rows) -> list[list[int]]:
+def _sweep_numpy(int_rows, dtype) -> list[list[int]]:
+    """The raising sweep on a symmetric integer matrix held as a ``dtype`` array."""
     import numpy as np
 
-    m = np.array(int_rows, dtype=np.int64)
+    m = np.array(int_rows, dtype=dtype)
+    n = len(int_rows)
     for k in range(n):
         col_k = m[:, k]
         for i in range(1, n):

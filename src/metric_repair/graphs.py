@@ -4,6 +4,11 @@ All weights are exact nonnegative rationals (``fractions.Fraction``).  Broken
 cycles are detected through *strict* inequalities, so floating point values are
 rejected outright: a float cannot participate in any weight or delta.
 
+A distance matrix is the complete-graph special case, not a second model:
+``DistanceMatrix`` validates its rows once and then holds only the complete
+``WeightedGraph`` they define, and ``from_graph``/``to_graph`` wrap and unwrap
+that graph without copying it.
+
 Every object in this module is immutable after construction and safe to share
 across threads; all operations on them are pure functions.
 """
@@ -314,9 +319,14 @@ def apply_delta(g: WeightedGraph, delta: RepairDelta) -> WeightedGraph:
 
 
 class DistanceMatrix:
-    """Symmetric nonnegative matrix with a zero diagonal (complete-graph view)."""
+    """Checked complete-graph view: a symmetric nonnegative matrix, zero diagonal.
 
-    __slots__ = ("n", "_rows", "_graph_cache")
+    The matrix holds one complete :class:`WeightedGraph` and nothing else.
+    Entries, rows and equality are read off that graph, and ``to_graph()``
+    returns it, so every solver shares its ``integer_form()`` and APSP caches.
+    """
+
+    __slots__ = ("_graph",)
 
     def __init__(self, rows: Iterable[Iterable[WeightLike]]):
         mat = [tuple(as_weight(x) for x in row) for row in rows]
@@ -329,49 +339,40 @@ class DistanceMatrix:
             for j in range(i):
                 if row[j] != mat[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self.n = n
-        self._rows = tuple(mat)
-        self._graph_cache = None
+        self._graph = WeightedGraph(
+            n, ((i, j, mat[i][j]) for i in range(n) for j in range(i + 1, n)))
+
+    @property
+    def n(self) -> int:
+        return self._graph.n
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        return Fraction(0) if i == j else self._graph.weight(i, j)
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        n = self.n
+        return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def to_graph(self) -> WeightedGraph:
-        """The complete weighted graph carrying these distances."""
-        if self._graph_cache is None:
-            n = self.n
-            self._graph_cache = WeightedGraph(
-                n, ((i, j, self._rows[i][j]) for i in range(n) for j in range(i + 1, n)))
-        return self._graph_cache
+        """The complete weighted graph carrying these distances (not a copy)."""
+        return self._graph
 
     @classmethod
     def from_graph(cls, g: WeightedGraph) -> "DistanceMatrix":
+        """Wrap a complete graph without copying it."""
         if not g.is_complete():
             raise PreconditionError("matrix view requires a complete graph")
-        n = g.n
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (u, v), w in g.weight_map().items():
-            rows[u][v] = w
-            rows[v][u] = w
-        return cls(rows)
+        view = cls.__new__(cls)
+        view._graph = g
+        return view
 
     def apply(self, delta: RepairDelta) -> "DistanceMatrix":
-        rows = [list(r) for r in self._rows]
-        for (u, v), value in delta.items():
-            new = rows[u][v] + value
-            if new < 0:
-                raise ValueError(f"delta drives entry ({u},{v}) below zero")
-            rows[u][v] = new
-            rows[v][u] = new
-        return DistanceMatrix(rows)
+        return DistanceMatrix.from_graph(apply_delta(self._graph, delta))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._graph == other._graph
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n})"

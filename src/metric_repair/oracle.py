@@ -138,11 +138,15 @@ def _acceptance_test(g: WeightedGraph, omega: OmegaClass, method: str):
     raise ValueError(f"unknown oracle method {method!r}")
 
 
-def _cover_requirements(g: WeightedGraph, omega: OmegaClass) -> list[int]:
-    """One bitmask of admissible cover edges per broken cycle."""
+def _cover_requirements(g: WeightedGraph, omega: OmegaClass,
+                        max_len: int | None = None) -> list[int]:
+    """One bitmask of admissible cover edges per broken cycle (up to ``max_len`` edges).
+
+    Bit ``i`` stands for ``g.edges[i]``.
+    """
     edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
     requirements = []
-    for witness in broken_cycles(g):
+    for witness in broken_cycles(g, max_len=max_len):
         edges = witness.edges() if omega is OmegaClass.GENERAL else witness.bottom_edges()
         mask = 0
         for e in edges:
@@ -169,14 +173,7 @@ def minimum_cycle_cover(
     if omega is OmegaClass.DECREASE_ONLY:
         raise ValueError("covering characterizes increase-only and general repairs")
     edges = g.edges
-    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
-    requirements = []
-    for witness in broken_cycles(g, max_len=max_cycle_len):
-        cand = witness.edges() if omega is OmegaClass.GENERAL else witness.bottom_edges()
-        mask = 0
-        for e in cand:
-            mask |= edge_bit[e]
-        requirements.append(mask)
+    requirements = _cover_requirements(g, omega, max_cycle_len)
     if not requirements:
         return 0, frozenset()
     requirements.sort(key=lambda mask: (bin(mask).count("1"), mask))
@@ -207,5 +204,5 @@ def minimum_cycle_cover(
 
     search(0, 0)
     assert best[0] <= len(edges)  # the full edge set always covers
-    support = frozenset(e for e in edges if best[1] & edge_bit[e])
+    support = frozenset(e for i, e in enumerate(edges) if best[1] >> i & 1)
     return best[0], support

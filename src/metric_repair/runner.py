@@ -63,14 +63,15 @@ class RepairReport:
 
 
 def run_algo(instance, omega: OmegaClass, algo: str,
-             exact_cycle_budget: int | None = None,
-             oracle_edge_limit: int | None = None) -> RepairReport:
+             exact_cycle_budget: int | None = None) -> RepairReport:
     """Dispatch one solver, validate its output and time the solve.
 
     ``instance`` is a WeightedGraph or a DistanceMatrix.  The matrix-only
     algorithms (5cc, iomr) accept a graph only when it is complete; graph
-    algorithms accept a matrix through its complete-graph view.  Requesting an
-    omega the algorithm does not produce is a precondition violation.
+    algorithms accept a matrix through its complete-graph view.  Either way
+    the solver runs on the one graph object the runner holds, so its scaled
+    ``integer_form()`` is computed once.  Requesting an omega the algorithm
+    does not produce is a precondition violation.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -78,13 +79,8 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         allowed = "/".join(o.value for o in ALGO_OMEGAS[algo])
         raise PreconditionError(f"algorithm {algo} solves omega {allowed}, not {omega.value}")
 
-    if isinstance(instance, DistanceMatrix):
-        graph = instance.to_graph()
-        matrix = instance
-    else:
-        graph = instance
-        matrix = None
-    if algo in _MATRIX_ONLY and matrix is None:
+    graph = instance.to_graph() if isinstance(instance, DistanceMatrix) else instance
+    if algo in _MATRIX_ONLY:
         matrix = DistanceMatrix.from_graph(graph)  # raises unless complete
 
     iterations = None
@@ -107,7 +103,7 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         delta = matrix_sweep_repair(matrix)
         repaired_cells = repaired_cell_count(delta)
     else:
-        found = brute_force_opt(graph, omega, edge_limit=oracle_edge_limit)
+        found = brute_force_opt(graph, omega)
         if found is None:
             raise NoSolutionError("no support within the oracle budget")
         delta = found[1]

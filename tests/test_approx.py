@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from metric_repair import (
     DistanceMatrix,
     OmegaClass,
+    RepairDelta,
     SupportRejectedError,
     WeightedGraph,
     apply_delta,
@@ -323,18 +324,72 @@ def test_sweep_repair_cap_property(n, seed):
     assert repaired_cell_count(delta) <= (n - 1) * (n - 2)
 
 
+def fraction_sweep(d):
+    """Reference raising sweep over the matrix's Fraction entries."""
+    n = d.n
+    rows = [list(r) for r in d.rows()]
+    for k in range(n):
+        for i in range(n):
+            current = rows[i][k]
+            best = max([current] + [rows[i][j] - rows[j][k] for j in range(i)])
+            if best > current:
+                rows[i][k] = rows[k][i] = best
+    return RepairDelta({(i, j): rows[i][j] - d.entry(i, j)
+                        for i in range(n) for j in range(i + 1, n)},
+                       OmegaClass.INCREASE_ONLY)
+
+
+def scaled_rows(d):
+    scale, intw = d.to_graph().integer_form()
+    rows = [[0] * d.n for _ in range(d.n)]
+    for (i, j), w in intw.items():
+        rows[i][j] = rows[j][i] = w
+    return scale, rows
+
+
 def test_sweep_numpy_kernel_matches_python():
-    for seed in range(10):
-        rng = random.Random(10_000 + seed)
-        n = rng.randint(3, 12)
-        d = random_matrix(rng, 20)
-        n = d.n
-        int_rows = [[int(x) for x in row] for row in d.rows()]
-        via_numpy = _sweep_numpy(n, int_rows)
+    # int64 kernel == object kernel == the Fraction reference sweep, at sizes
+    # on both sides of 48 and on a rational matrix whose scale is past 2**62.
+    matrices = [random_matrix(random.Random(10_000 + seed), n)
+                for seed, n in enumerate((2, 3, 5, 9, 16, 31, 48, 57))]
+    rows = rational_matrix(random.Random(10_100), 50)
+    for (i, j), p in zip(((0, 1), (3, 17), (20, 49)), (2097143, 2097169, 2097211)):
+        rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, p)
+    matrices += [DistanceMatrix(rows), sweep_worst_matrix(56), dense_block_matrix(60, 29)]
+    assert matrices[-3].to_graph().integer_form()[0] > 2 ** 62
+    raised = 0
+    for d in matrices:
+        reference = fraction_sweep(d)
+        assert matrix_sweep_repair(d) == reference
+        scale, int_rows = scaled_rows(d)
+        expected = [[int((d.entry(i, j) + reference.get(i, j)) * scale) if i != j else 0
+                     for j in range(d.n)] for i in range(d.n)]
+        assert _sweep_numpy(int_rows, object) == expected
+        if max(map(max, int_rows)) < 2 ** 62:
+            assert _sweep_numpy(int_rows, "int64") == expected
+        raised += reference.norm0() > 0
+    assert raised >= len(matrices) - 2
+
+
+def test_sweep_kernel_choice_at_int64_guard(monkeypatch):
+    # An entry of 2**62 - 1, the largest the int64 guard admits, then 2**62;
+    # the sweep raises many cells to within a few units of it.
+    import metric_repair.approx as approx
+
+    chosen = []
+    kernel = approx._sweep_numpy
+    monkeypatch.setattr(approx, "_sweep_numpy",
+                        lambda rows, dtype: chosen.append(dtype) or kernel(rows, dtype))
+    for top, dtype in ((2 ** 62 - 1, "int64"), (2 ** 62, object)):
+        base = random_matrix(random.Random(10_200), 48)
+        rows = [list(r) for r in base.rows()]
+        rows[0][47] = rows[47][0] = top
+        d = DistanceMatrix(rows)
         delta = matrix_sweep_repair(d)
-        rebuilt = [[int(d.entry(i, j) + delta.get(i, j)) if i != j else 0
-                    for j in range(n)] for i in range(n)]
-        assert via_numpy == rebuilt
+        assert chosen.pop() == dtype
+        assert delta == fraction_sweep(d)
+        assert max(v for _, v in delta.items()) > top - 20
+        assert is_metric(apply_delta(d.to_graph(), delta))
 
 
 def test_sweep_handles_fractional_entries():

@@ -13,6 +13,7 @@ from metric_repair import (
     BrokenCycleWitness,
     DistanceMatrix,
     OmegaClass,
+    PreconditionError,
     RepairDelta,
     WeightedGraph,
     apply_delta,
@@ -122,11 +123,50 @@ def test_distance_matrix_validation():
         DistanceMatrix([[1, 2], [2, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         DistanceMatrix([[0, -1], [-1, 0]])  # negative
+    with pytest.raises(TypeError):
+        DistanceMatrix([[0, 1], [1.0, 0]])  # float below the diagonal only
+    with pytest.raises(ValueError, match="square"):
+        DistanceMatrix([[0, 1, 2], [1, 0], [2, 3, 0]])  # ragged
+    assert DistanceMatrix([[0, "1/2"], ["0.5", 0]]).rows() == ((0, Fraction(1, 2)),
+                                                              (Fraction(1, 2), 0))
     d = DistanceMatrix([[0, 2], [2, 0]])
     assert d.entry(0, 1) == 2
     g = d.to_graph()
     assert g.is_complete() and g.weight(0, 1) == 2
     assert DistanceMatrix.from_graph(g) == d
+
+
+def test_matrix_view_wraps_its_graph_without_copying():
+    g = random_graph(random.Random(5), 6, 15)
+    d = DistanceMatrix.from_graph(g)
+    assert d.to_graph() is g and d.n == 6
+    built = DistanceMatrix(d.rows())
+    assert built == d and built.to_graph() is built.to_graph() == g
+    with pytest.raises(PreconditionError):
+        DistanceMatrix.from_graph(g.without_edges([(0, 1)]))
+
+
+@pytest.mark.parametrize("algo", ["iomr", "5cc"])
+def test_run_algo_scales_a_complete_graph_once(monkeypatch, algo):
+    # The runner's matrix view wraps the input graph, so the solver reads the
+    # integer form cached on it instead of scaling an equal copy.
+    from metric_repair import run_algo
+    from metric_repair.gadgets import planted_complete
+
+    g = planted_complete(8, 3, seed=2).instance.to_graph()
+    scaled = []
+    integer_form = WeightedGraph.integer_form
+
+    def counting(self):
+        if self._int_cache is None:
+            scaled.append(self)
+        return integer_form(self)
+
+    monkeypatch.setattr(WeightedGraph, "integer_form", counting)
+    report = run_algo(g, OmegaClass.INCREASE_ONLY, algo)
+    assert report.valid and report.support_size > 0
+    same_weights = [h for h in scaled if h == g]
+    assert len(same_weights) == 1 and same_weights[0] is g
 
 
 def test_matrix_apply_mirrors_entries():
