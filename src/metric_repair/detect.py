@@ -6,7 +6,7 @@ edges.  A weighted graph satisfies a metric exactly when it has no broken
 cycle, which is equivalent to every edge being a shortest path between its
 endpoints (ties are fine: equality does not break a cycle).
 
-Broken-cycle tests run on the graph's scaled integer weights
+Broken-cycle tests run on the graph's stored scaled integer weights
 (``WeightedGraph.integer_form``): multiplying every weight by the same
 positive scale leaves ``2 * w(top) > w(cycle)`` unchanged, and Python ints
 are exact at any size, so the test stays exact without touching a Fraction.

@@ -24,15 +24,19 @@ from .graphs import (
 )
 
 
-def parse_exact(token: str) -> Fraction:
-    """Exact rational from a decimal or p/q string."""
+def parse_exact(token: str) -> int | Fraction:
+    """Exact rational from a decimal or p/q string: plain ASCII digits give an
+    ``int``, the rest go through ``Fraction``, which sets the accepted language."""
+    stripped = token.strip()
     try:
-        return Fraction(token.strip())
+        if stripped.isascii() and stripped.isdigit():
+            return int(stripped)
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad number {token!r}: {exc}") from None
 
 
-def format_exact(value: Fraction) -> str:
+def format_exact(value: int | Fraction) -> str:
     """Shortest exact decimal form, falling back to p/q."""
     num, den = value.numerator, value.denominator
     if den == 1:
@@ -91,8 +95,15 @@ def parse_edge_list(text: str) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
+def _formatted_weights(g: WeightedGraph) -> dict[tuple[int, int], str]:
+    """Each edge's weight formatted once, straight from the stored integers."""
+    scale, intw = g.integer_form()
+    return {e: format_exact(x if scale == 1 else Fraction(x, scale)) for e, x in intw.items()}
+
+
 def serialize_edge_list(g: WeightedGraph) -> str:
-    lines = [f"{u} {v} {format_exact(g.weight(u, v))}" for (u, v) in g.edges]
+    text = _formatted_weights(g)
+    lines = [f"{u} {v} {text[u, v]}" for (u, v) in g.edges]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -109,11 +120,11 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
     reader = csv.reader(io.StringIO(text))
     cells = [row for row in reader if row]
     n = len(cells)
-    parsed: list[list[Fraction | None]] = []
+    parsed: list[list[int | Fraction | None]] = []
     for i, row in enumerate(cells):
         if len(row) != n:
             raise InputFormatError(f"row {i}: expected {n} columns, got {len(row)}")
-        out_row: list[Fraction | None] = []
+        out_row: list[int | Fraction | None] = []
         for j, cell in enumerate(row):
             token = cell.strip()
             if token == "" or token.lower() == "nan":
@@ -136,18 +147,9 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
 
 
 def serialize_matrix_csv(g: WeightedGraph) -> str:
-    n = g.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append("0")
-            elif g.has_edge(i, j):
-                row.append(format_exact(g.weight(i, j)))
-            else:
-                row.append("")
-        rows.append(",".join(row))
+    n, text = g.n, _formatted_weights(g)
+    rows = [",".join("0" if i == j else text.get((i, j) if i < j else (j, i), "")
+                     for j in range(n)) for i in range(n)]
     return "\n".join(rows) + ("\n" if rows else "")
 
 
@@ -188,7 +190,7 @@ def parse_delta_tsv(text: str) -> DeltaDocument:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: vertex ids must be integers") from None
-        entries[(u, v)] = parse_exact(parts[2])
+        _add_delta_entry(entries, u, v, parse_exact(parts[2]), f"line {lineno}")
     if summary is None or "omega" not in summary:
         raise InputFormatError("missing trailing summary record with omega=")
     try:
@@ -198,6 +200,13 @@ def parse_delta_tsv(text: str) -> DeltaDocument:
         raise InputFormatError(str(exc)) from None
     return DeltaDocument(delta=delta,
                          is_metric_after=summary.get("is_metric_after") == "true")
+
+
+def _add_delta_entry(entries: dict, u: int, v: int, value, where: str) -> None:
+    """Record one parsed delta entry; a negative id or a repeated pair is an error."""
+    if min(u, v) < 0 or (u, v) in entries or (v, u) in entries:
+        raise InputFormatError(f"{where}: negative vertex id or repeated pair ({u},{v})")
+    entries[(u, v)] = value
 
 
 def serialize_delta_json(doc: DeltaDocument) -> str:
@@ -217,10 +226,10 @@ def parse_delta_json(text: str) -> DeltaDocument:
     try:
         payload = json.loads(text)
         omega = OmegaClass.parse(payload["omega"])
-        entries = {
-            (int(item["u"]), int(item["v"])): parse_exact(str(item["delta"]))
-            for item in payload["entries"]
-        }
+        entries = {}
+        for index, item in enumerate(payload["entries"]):
+            _add_delta_entry(entries, int(item["u"]), int(item["v"]),
+                             parse_exact(str(item["delta"])), f"entry {index}")
         delta = RepairDelta(entries, omega)
         return DeltaDocument(delta=delta,
                              is_metric_after=bool(payload["is_metric_after"]))

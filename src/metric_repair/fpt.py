@@ -19,7 +19,6 @@ enforced invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .chordal import perfect_elimination_ordering
 from .detect import broken_triangles, is_metric
@@ -106,16 +105,10 @@ def _fpt_solve(g: WeightedGraph, k: int, omega: OmegaClass) -> FptResult:
             bottoms = t.bottom_edges()
             if not any(b in seed for b in bottoms):
                 state.add_candidates(pool, in_pool, sorted(bottoms))
+        intw = g.integer_form()[1]
         for (i, j) in seed:
-            picks = _select(g, i, j, k, largest=True)
-            heavier = []
-            for l in picks:
-                e_il, e_jl = edge_key(i, l), edge_key(j, l)
-                if g.weight(*e_il) >= g.weight(*e_jl):
-                    heavier.append(e_il)
-                else:
-                    heavier.append(e_jl)
-            state.add_candidates(pool, in_pool, heavier)
+            pairs = [(edge_key(i, l), edge_key(j, l)) for l in _select(g, i, j, k, largest=True)]
+            state.add_candidates(pool, in_pool, [a if intw[a] >= intw[b] else b for a, b in pairs])
     else:
         for t in triangles:
             edges = t.edges()
@@ -195,23 +188,21 @@ def _select(g: WeightedGraph, i: int, j: int, k: int, largest: bool) -> list[int
 
     ``largest=True`` ranks by |w(i,l) - w(j,l)| descending, ``largest=False``
     by w(i,l) + w(j,l) ascending.  Returns the top ``k`` neighbor ids, plus any
-    further neighbors tied with the boundary value.
+    further neighbors tied with the boundary value.  Scores are taken on the
+    scaled integer weights, which keep the order and the ties of the weights.
     """
-    scored: list[tuple[Fraction, int]] = []
+    intw = g.integer_form()[1]
+    scored = []  # (rank key, l): ascending keys rank first
     for l in g.common_neighbors(i, j):
-        wi, wj = g.weight(i, l), g.weight(j, l)
-        key = abs(wi - wj) if largest else wi + wj
-        scored.append((key, l))
-    if largest:
-        scored.sort(key=lambda kv: (-kv[0], kv[1]))
-    else:
-        scored.sort(key=lambda kv: (kv[0], kv[1]))
+        wi, wj = intw[edge_key(i, l)], intw[edge_key(j, l)]
+        scored.append((-abs(wi - wj) if largest else wi + wj, l))
+    scored.sort()
     if len(scored) <= k:
         return [l for _, l in scored]
     if k == 0:
         return []
     boundary = scored[k - 1][0]
-    return [l for key, l in scored if (key >= boundary if largest else key <= boundary)]
+    return [l for key, l in scored if key <= boundary]
 
 
 def _closing_edges(g: WeightedGraph, support: list) -> list[tuple[int, int]]:

@@ -194,19 +194,16 @@ def metric_closure_weights(n: int, edges, rng: random.Random,
     """Random integer weights pulled down to their shortest-path distances."""
     lo, hi = weight_range
     raw = WeightedGraph(n, ((u, v, rng.randint(lo, hi)) for (u, v) in edges))
-    d = apsp(raw)
-    return raw.replace_weights({e: d.dist(*e) for e in raw.edges})
+    d = apsp(raw)  # integer weights: distances are on scale 1
+    return raw.replace_weights({(u, v): d.row(u)[v] for (u, v) in raw.edges})
 
 
 def _plant_decreases(g: WeightedGraph, k: int, rng: random.Random):
-    candidates = [e for e in g.edges if g.weight(*e) > 0]
+    scale, intw = g.integer_form()
+    assert scale == 1  # integer construction
+    candidates = [e for e in g.edges if intw[e] > 0]
     planted = sorted(rng.sample(candidates, min(k, len(candidates))))
-    lowered = {}
-    for e in planted:
-        w = g.weight(*e)
-        assert w.denominator == 1  # integer construction
-        lowered[e] = Fraction(rng.randrange(int(w)))
-    return g.replace_weights(lowered), frozenset(planted)
+    return g.replace_weights({e: rng.randrange(intw[e]) for e in planted}), frozenset(planted)
 
 
 def planted_chordal(n: int, k: int, seed: int,

@@ -1,8 +1,9 @@
 """Core data model: weighted graphs, distance matrices and repair deltas.
 
-All weights are exact nonnegative rationals (``fractions.Fraction``).  Broken
-cycles are detected through *strict* inequalities, so floating point values are
-rejected outright: a float cannot participate in any weight or delta.
+All weights are exact nonnegative rationals, stored once as integers over one
+common scale (``integer_form()``); a ``Fraction`` is built only when read.
+Broken cycles are detected through *strict* inequalities, so floating point
+values are rejected outright: a float cannot participate in any weight or delta.
 
 A distance matrix is the complete-graph special case, not a second model:
 ``DistanceMatrix`` validates its rows once and then holds only the complete
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Edge = tuple[int, int]
@@ -53,6 +54,18 @@ def as_weight(value: WeightLike) -> Fraction:
     if w < 0:
         raise ValueError(f"weights must be nonnegative, got {w}")
     return w
+
+
+def _checked_weight(value: WeightLike) -> int | Fraction:
+    """``as_weight``, passing a nonnegative plain int through unconverted."""
+    return value if type(value) is int and value >= 0 else as_weight(value)
+
+
+def _scale_weights(weights: Mapping[Edge, int | Fraction]) -> tuple[int, dict[Edge, int]]:
+    """The one scaling routine: ``scale`` is the lcm of the reduced denominators
+    (equal weights, equal scale) and ``w`` becomes ``numerator * (scale // den)``."""
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return scale, {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
 
 
 def as_delta_value(value: WeightLike) -> Fraction:
@@ -96,16 +109,17 @@ class WeightedGraph:
     """Undirected graph on vertices ``0..n-1`` with exact edge weights.
 
     Edges are stored under normalized ``(u, v)`` keys with ``u < v``; there are
-    no self-loops and no duplicate edges.  Weight zero is allowed.
+    no self-loops and no duplicate edges.  Weight zero is allowed.  The weights
+    live only in their scaled integer form: ``weight(e) == intw[e] / scale``.
     """
 
-    __slots__ = ("n", "_w", "_adj", "_edges", "_apsp_cache", "_int_cache")
+    __slots__ = ("n", "_scale", "_intw", "_adj", "_edges", "_apsp_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, WeightLike]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        w: dict[tuple[int, int], Fraction] = {}
+        w: dict[Edge, int | Fraction] = {}
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v, weight in edges:
             key = edge_key(u, v)
@@ -113,20 +127,19 @@ class WeightedGraph:
                 raise ValueError(f"edge {key} out of range for n={n}")
             if key in w:
                 raise ValueError(f"duplicate edge {key}")
-            w[key] = as_weight(weight)
+            w[key] = _checked_weight(weight)
             adj[key[0]].append(key[1])
             adj[key[1]].append(key[0])
-        self._w = w
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._edges = tuple(sorted(w))
+        self._scale, self._intw = _scale_weights(w)
         self._apsp_cache: dict = {}
-        self._int_cache = None
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self._w)
+        return len(self._edges)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -134,12 +147,12 @@ class WeightedGraph:
         return self._edges
 
     def weight(self, u: int, v: int) -> Fraction:
-        return self._w[edge_key(u, v)]
+        return Fraction(self._intw[edge_key(u, v)], self._scale)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        return edge_key(u, v) in self._w
+        return edge_key(u, v) in self._intw
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -150,19 +163,19 @@ class WeightedGraph:
 
     def max_weight(self) -> Fraction:
         """Largest edge weight (0 on an edgeless graph)."""
-        return max(self._w.values(), default=Fraction(0))
+        return Fraction(max(self._intw.values(), default=0), self._scale)
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
     def weight_map(self) -> dict[tuple[int, int], Fraction]:
-        """A fresh copy of the edge-to-weight mapping."""
-        return dict(self._w)
+        """A fresh edge-to-weight mapping."""
+        return {e: Fraction(x, self._scale) for e, x in self._intw.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self._w == other._w
+        return (self.n, self._scale, self._intw) == (other.n, other._scale, other._intw)
 
     def __hash__(self):  # pragma: no cover - mappings are unhashable by design
         raise TypeError("WeightedGraph is not hashable")
@@ -172,34 +185,31 @@ class WeightedGraph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def replace_weights(self, new_weights: Mapping[tuple[int, int], Fraction]) -> "WeightedGraph":
-        """Same topology with some edge weights overridden."""
-        w = dict(self._w)
+    def replace_weights(self, new_weights: Mapping[Edge, WeightLike]) -> "WeightedGraph":
+        """Same topology (shared, not rebuilt) with some edge weights overridden."""
+        w = dict(self._intw) if self._scale == 1 else self.weight_map()
         for key, value in new_weights.items():
             key = edge_key(*key)
             if key not in w:
                 raise ValueError(f"{key} is not an edge")
-            w[key] = as_weight(value)
-        return WeightedGraph(self.n, ((u, v, wt) for (u, v), wt in w.items()))
+            w[key] = _checked_weight(value)
+        g = WeightedGraph.__new__(WeightedGraph)
+        g.n, g._adj, g._edges, g._apsp_cache = self.n, self._adj, self._edges, {}
+        g._scale, g._intw = _scale_weights(w)
+        return g
 
     def without_edges(self, removed: Iterable[tuple[int, int]]) -> "WeightedGraph":
         gone = {edge_key(*e) for e in removed}
         return WeightedGraph(
-            self.n, ((u, v, wt) for (u, v), wt in self._w.items() if (u, v) not in gone))
-
-    # -- integer scaling (internal fast paths) ------------------------------
+            self.n, ((u, v, wt) for (u, v), wt in self.weight_map().items() if (u, v) not in gone))
 
     def integer_form(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """Scale all weights to integers: returns ``(scale, {edge: int})``.
+        """The stored weights ``(scale, {edge: int})``; read-only, never copied.
 
-        ``weight(e) == intweight(e) / scale`` exactly.  Cached.
+        ``weight(e) == intw[e] / scale`` exactly, and ``scale`` is the least
+        common denominator of the weights.
         """
-        if self._int_cache is None:
-            scale = 1
-            for w in self._w.values():
-                scale = scale * w.denominator // gcd(scale, w.denominator)
-            self._int_cache = (scale, {e: int(w * scale) for e, w in self._w.items()})
-        return self._int_cache
+        return self._scale, self._intw
 
 
 @dataclass(frozen=True)
@@ -323,13 +333,14 @@ class DistanceMatrix:
 
     The matrix holds one complete :class:`WeightedGraph` and nothing else.
     Entries, rows and equality are read off that graph, and ``to_graph()``
-    returns it, so every solver shares its ``integer_form()`` and APSP caches.
+    returns it, so every solver shares its stored integer weights and APSP
+    cache.
     """
 
     __slots__ = ("_graph",)
 
     def __init__(self, rows: Iterable[Iterable[WeightLike]]):
-        mat = [tuple(as_weight(x) for x in row) for row in rows]
+        mat = [tuple(_checked_weight(x) for x in row) for row in rows]
         n = len(mat)
         for i, row in enumerate(mat):
             if len(row) != n:

@@ -1,6 +1,6 @@
 """All-pairs shortest paths on scaled integer weights.
 
-Distances stay on the integer scale of the graph's ``integer_form()``:
+Distances stay on the integer scale the graph stores (``integer_form()``):
 ``row(u)[v]`` is ``scale`` times the distance from ``u`` to ``v`` (None when
 unreachable), so callers compare it with scaled edge weights exactly, and a
 ``Fraction`` is built only when ``dist()`` is read.  Two engines must agree:

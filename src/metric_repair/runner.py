@@ -69,8 +69,8 @@ def run_algo(instance, omega: OmegaClass, algo: str,
     ``instance`` is a WeightedGraph or a DistanceMatrix.  The matrix-only
     algorithms (5cc, iomr) accept a graph only when it is complete; graph
     algorithms accept a matrix through its complete-graph view.  Either way
-    the solver runs on the one graph object the runner holds, so its scaled
-    ``integer_form()`` is computed once.  Requesting an omega the algorithm
+    the solver runs on the one graph object the runner holds and reads its
+    stored ``integer_form()`` and APSP cache.  Requesting an omega the algorithm
     does not produce is a precondition violation.
     """
     if algo not in ALGORITHMS:

@@ -5,7 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 
 from metric_repair.cli import main
 from metric_repair.fileio import parse_delta_tsv, parse_edge_list
@@ -282,3 +287,32 @@ def test_bench_rows_are_deterministic_apart_from_timings():
                 for r in rows]
 
     assert strip_times(run_suite("ratios")) == strip_times(run_suite("ratios"))
+
+
+_REPORT_NUMPY = ("import sys\n"
+                 "from metric_repair.cli import main\n"
+                 "status = main(sys.argv[1:])\n"
+                 "print('numpy imported:', 'numpy' in sys.modules, 'exit:', status)\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "small.csv"],
+    ["repair", "small.csv", "--omega", "decrease", "--algo", "dmr"],
+    ["repair", "small.csv", "--omega", "increase", "--algo", "5cc"],
+    ["repair", "chordal.txt", "--omega", "increase", "--algo", "fpt"],
+])
+def test_small_cli_runs_never_import_numpy(tmp_path, args):
+    from metric_repair.fileio import serialize_edge_list, serialize_matrix_csv
+    from metric_repair.gadgets import planted_chordal, planted_complete
+
+    write(tmp_path / "small.csv",
+          serialize_matrix_csv(planted_complete(8, 2, seed=3).instance.to_graph()))
+    write(tmp_path / "chordal.txt", serialize_edge_list(planted_chordal(10, 1, seed=3).instance))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *args], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    last = run.stdout.splitlines()[-1]
+    assert last.startswith("numpy imported: False exit: "), (last, run.stderr)
+    assert last.split()[-1] in ("0", "1")

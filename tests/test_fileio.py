@@ -13,6 +13,7 @@ from metric_repair.fileio import (
     parse_delta_json,
     parse_delta_tsv,
     parse_edge_list,
+    parse_exact,
     parse_graph_text,
     parse_matrix_csv,
     parse_support_file,
@@ -108,6 +109,44 @@ def test_delta_json_malformed():
         parse_delta_json("{}")
     with pytest.raises(InputFormatError):
         parse_delta_json("not json")
+
+
+_SUMMARY = "# omega=general support_size=2 is_metric_after=true\n"
+
+
+@pytest.mark.parametrize("body", [
+    "0\t1\t1\n0\t1\t5\n",  # the same pair twice
+    "0\t1\t1\n1\t0\t5\n",  # the same pair, written the other way round
+    "-1\t1\t1\n",  # a negative vertex id
+])
+def test_delta_tsv_rejects_repeated_pairs_and_negative_ids(body):
+    with pytest.raises(InputFormatError):
+        parse_delta_tsv(body + _SUMMARY)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1), (0, 1)], [(0, 1), (1, 0)], [(0, -1)]])
+def test_delta_json_rejects_repeated_pairs_and_negative_ids(pairs):
+    entries = ",".join(f'{{"u": {u}, "v": {v}, "delta": "1"}}' for u, v in pairs)
+    text = f'{{"omega": "general", "entries": [{entries}], "is_metric_after": true}}'
+    with pytest.raises(InputFormatError):
+        parse_delta_json(text)
+
+
+@pytest.mark.parametrize("token", ["+5", "00012", " 7 ", "-0", "1_000", "\u0661\u0662",
+                                   "\u00b2", "1e3", "1__0", "0x10", "", "3/0", "0.25"])
+def test_parse_exact_accepts_exactly_what_fraction_accepts(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputFormatError):
+            parse_exact(token)
+    else:
+        assert parse_exact(token) == expected
+
+
+def test_parse_exact_hands_plain_digits_over_as_ints():
+    assert type(parse_exact(" 0042 ")) is int
+    assert type(parse_exact("42.0")) is Fraction
 
 
 def test_delta_sign_violations_are_format_errors():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +21,7 @@ from metric_repair import (
     is_metric,
     verify_support,
 )
-from metric_repair.fpt import POOL_BOUND_FACTOR
+from metric_repair.fpt import POOL_BOUND_FACTOR, _select
 from metric_repair.gadgets import planted_chordal
 
 METRIC_TRIANGLE = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
@@ -145,3 +148,38 @@ def test_results_are_deterministic():
     second = fpt_min_repair(g, OmegaClass.INCREASE_ONLY)
     assert first.support == second.support
     assert first.delta == second.delta
+
+
+def _select_reference(g, i, j, k, largest):
+    """``_select`` spelled out on Fraction weights."""
+    scored = []
+    for l in g.common_neighbors(i, j):
+        wi, wj = g.weight(i, l), g.weight(j, l)
+        scored.append((abs(wi - wj) if largest else wi + wj, l))
+    scored.sort(key=lambda kv: ((-kv[0] if largest else kv[0]), kv[1]))
+    if len(scored) <= k:
+        return [l for _, l in scored]
+    if k == 0:
+        return []
+    boundary = scored[k - 1][0]
+    return [l for key, l in scored if (key >= boundary if largest else key <= boundary)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_on_scaled_integers_matches_fraction_reference(seed):
+    # Few distinct mixed-denominator values, so sums and differences tie often.
+    values = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(1, 3),
+              Fraction(2, 3), Fraction(5, 6), Fraction(7, 4), Fraction(2)]
+    rng = random.Random(seed)
+    n = 7
+    pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.85]
+    g = WeightedGraph(n, [(u, v, rng.choice(values)) for u, v in pairs])
+    assert g.integer_form()[0] == 12
+    ties = 0
+    for (i, j) in g.edges:
+        for k in range(5):
+            for largest in (True, False):
+                got = _select(g, i, j, k, largest)
+                assert got == _select_reference(g, i, j, k, largest)
+                ties += len(got) > k > 0
+    assert ties  # boundary ties were exercised
