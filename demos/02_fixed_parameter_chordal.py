@@ -5,6 +5,12 @@ On chordal graphs any broken cycle forces a broken triangle, which makes a
 bounded-branching search possible: maintain a partial support S and a small
 candidate pool P, branch over P, and ask the Verifier once |S| hits the
 budget.  Iterative deepening over the budget recovers the optimum.
+
+Every node is cut when more than k - |S| broken triangles that S misses pairwise
+share no edge a repair could mend them on (bottom edges for increase-only,
+all three for general): each needs an edge of its own, and a support missing
+one leaves that triangle broken.  So the Verifier only sees supports that meet
+every broken triangle, and the ``nodes`` counts stay small.
 """
 
 from metric_repair import OmegaClass, brute_force_opt, fpt_min_repair, is_chordal

@@ -14,12 +14,13 @@ are exact at any size, so the test stays exact without touching a Fraction.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     BrokenCycleWitness,
     EnumerationBudgetError,
     InstanceStats,
+    OmegaClass,
     WeightedGraph,
     edge_key,
 )
@@ -85,6 +86,31 @@ def _top_edge(intw: Mapping[tuple[int, int], int],
     if 2 * heaviest > sum(weights):
         return edges[weights.index(heaviest)]
     return None
+
+
+def edge_bits(g: WeightedGraph) -> dict[tuple[int, int], int]:
+    """``{g.edges[i]: 1 << i}``, the bit layout of ``cover_masks``."""
+    return {e: 1 << i for i, e in enumerate(g.edges)}
+
+
+def cover_masks(g: WeightedGraph, witnesses: Iterable[BrokenCycleWitness],
+                omega: OmegaClass) -> list[int]:
+    """One bitmask per broken cycle of the edges a repair in ``omega`` can mend it on.
+
+    A cycle stays broken unless its weights change: an increase-only repair
+    must raise one of its bottom edges (raising the top edge only widens the
+    gap), a general repair must change some edge of it.  So a support that
+    misses a cycle's mask admits no repair.  Bit layout as in ``edge_bits``.
+    """
+    bit = edge_bits(g)
+    masks = []
+    for witness in witnesses:
+        edges = witness.edges() if omega is OmegaClass.GENERAL else witness.bottom_edges()
+        mask = 0
+        for e in edges:
+            mask |= bit[e]
+        masks.append(mask)
+    return masks
 
 
 def simple_cycles(g: WeightedGraph, max_len: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -228,11 +228,18 @@ def parse_delta_json(text: str) -> DeltaDocument:
         omega = OmegaClass.parse(payload["omega"])
         entries = {}
         for index, item in enumerate(payload["entries"]):
-            _add_delta_entry(entries, int(item["u"]), int(item["v"]),
-                             parse_exact(str(item["delta"])), f"entry {index}")
+            # JSON has one number type: the Python type tells 2 from 2.0 and true.
+            u, v, value = item["u"], item["v"], item["delta"]
+            if type(u) is not int or type(v) is not int:
+                raise InputFormatError(f"entry {index}: vertex ids must be JSON integers")
+            if type(value) not in (str, int):
+                raise InputFormatError(f"entry {index}: delta must be a string or an integer")
+            _add_delta_entry(entries, u, v, parse_exact(str(value)), f"entry {index}")
         delta = RepairDelta(entries, omega)
-        return DeltaDocument(delta=delta,
-                             is_metric_after=bool(payload["is_metric_after"]))
+        is_metric_after = payload["is_metric_after"]
+        if type(is_metric_after) is not bool:
+            raise InputFormatError("is_metric_after must be true or false")
+        return DeltaDocument(delta=delta, is_metric_after=is_metric_after)
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -1,14 +1,33 @@
 """Fixed-parameter repair for chordal graphs, parameterized by solution size.
 
-On a chordal graph every broken cycle forces a broken triangle, so the search
-works entirely with triangles.  Two sets drive the recursion: the partial
-support ``S`` and an ordered candidate pool ``P`` of edges that may still join
-it.  Seeding puts every forced edge into ``S`` (an edge sitting in more than
-``k`` broken triangles -- as a bottom edge in the increase-only case, in any
-role in the general case -- is in every optimal support) and primes ``P`` from
-the uncovered triangles plus per-seed candidate rules.  The recursion expands
+On a chordal graph every broken cycle forces a broken triangle (a chord splits
+a broken cycle into two shorter cycles, and one of them stays broken), so the
+search works entirely with triangles, and a chordal graph without a broken
+triangle is metric.  Two sets drive the recursion: the partial support ``S``
+and an ordered candidate pool ``P`` of edges that may still join it.  Seeding
+puts every forced edge into ``S`` (an edge sitting in more than ``k`` broken
+triangles -- as a bottom edge in the increase-only case, in any role in the
+general case -- is in every optimal support) and primes ``P`` from the
+uncovered triangles plus per-seed candidate rules.  The recursion expands
 ``P`` once per support edge, branches over ``P`` in insertion order, and asks
 the support Verifier exactly at depth ``k``.
+
+Every node first applies a packing bound, the standard lower bound for bounded
+search trees (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).  Each
+broken triangle has a mask of the edges a repair can mend it on
+(``detect.cover_masks``): its bottom edges in the increase-only case, since
+raising the top edge only widens the gap, and all three edges in the general
+case.  A support that misses a mask admits no repair, so the Verifier rejects
+it.  The node greedily packs masks that ``S`` misses and that share no edge
+with a mask packed before; each packed mask needs an edge of its own, so once
+more than ``k - |S|`` are packed no leaf below can be accepted and the node is
+cut.  At a leaf the room is zero, so the Verifier runs only on supports that
+meet every mask.  Only subtrees without an accepted leaf are cut, so the
+branching order, the first accepted support and its delta stay as they are
+without the bound.
+
+The per-graph work (chordality, broken triangles, their masks) is done once
+per public call; ``fpt_min_repair`` shares it across its deepening rounds.
 
 Pool size stays within 5k^2 (increase) / 12k^2 (general).  Tied candidate
 values at a selection boundary are all taken; if that ever pushed the pool past
@@ -21,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chordal import perfect_elimination_ordering
-from .detect import broken_triangles, is_metric
+from .detect import broken_triangles, cover_masks, edge_bits
 from .exact import verify_support
 from .graphs import (
     OmegaClass,
@@ -36,8 +55,15 @@ POOL_BOUND_FACTOR = {OmegaClass.INCREASE_ONLY: 5, OmegaClass.GENERAL: 12}
 
 @dataclass
 class FptStats:
+    """Search counts of the budget a result was found or refused at.
+
+    ``nodes`` counts every node entered, ``pruned`` those the packing bound
+    cut, and ``leaves`` the Verifier calls.
+    """
+
     nodes: int = 0
     leaves: int = 0
+    pruned: int = 0
     max_pool: int = 0
     pool_clamp_events: int = 0
 
@@ -56,70 +82,107 @@ class FptResult:
 
 def fpt_increase(g: WeightedGraph, k: int) -> FptResult:
     """Increase-only repair of support size at most ``k`` on a chordal graph."""
-    return _fpt_solve(g, k, OmegaClass.INCREASE_ONLY)
+    return _fpt_at(g, k, OmegaClass.INCREASE_ONLY)
 
 
 def fpt_general(g: WeightedGraph, k: int) -> FptResult:
     """General repair of support size at most ``k`` on a chordal graph."""
-    return _fpt_solve(g, k, OmegaClass.GENERAL)
+    return _fpt_at(g, k, OmegaClass.GENERAL)
 
 
 def fpt_min_repair(g: WeightedGraph, omega: OmegaClass) -> FptResult:
     """Optimal repair by iterative deepening over the budget ``k``."""
     if omega not in POOL_BOUND_FACTOR:
         raise PreconditionError("fixed-parameter repair covers increase-only and general")
+    triangles = _Triangles(g, omega)
     for k in range(g.m + 1):
-        result = _fpt_solve(g, k, omega)
+        result = _fpt_solve(triangles, k)
         if result.found:
             return result
     raise AssertionError("full edge budget must admit a repair")
 
 
-def _fpt_solve(g: WeightedGraph, k: int, omega: OmegaClass) -> FptResult:
+def _fpt_at(g: WeightedGraph, k: int, omega: OmegaClass) -> FptResult:
     if k < 0:
         raise ValueError("budget k must be nonnegative")
-    if perfect_elimination_ordering(g) is None:
-        raise PreconditionError("fixed-parameter repair requires a chordal graph")
+    return _fpt_solve(_Triangles(g, omega), k)
+
+
+class _Triangles:
+    """The broken triangles of a chordal graph, as cover masks (``detect.edge_bits`` layout)."""
+
+    def __init__(self, g: WeightedGraph, omega: OmegaClass):
+        if perfect_elimination_ordering(g) is None:
+            raise PreconditionError("fixed-parameter repair requires a chordal graph")
+        self.g = g
+        self.omega = omega
+        self.bit = edge_bits(g)
+        self.masks = cover_masks(g, broken_triangles(g), omega)
+        self.role_count: dict[tuple[int, int], int] = {}
+        for mask in self.masks:
+            for e in self.edges_of(mask):
+                self.role_count[e] = self.role_count.get(e, 0) + 1
+
+    def edges_of(self, mask: int) -> list[tuple[int, int]]:
+        """The edges of ``mask``, in sorted order (bit ``i`` is ``g.edges[i]``)."""
+        edges = self.g.edges
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(edges[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def packing_exceeds(self, hit: int, room: int) -> bool:
+        """Whether more than ``room`` masks missed by ``hit`` pairwise share no edge.
+
+        Packs greedily in triangle order.  When it returns True, every
+        support that contains ``hit`` and at most ``room`` more edges misses
+        a mask, and so admits no repair.
+        """
+        blocked = hit
+        for mask in self.masks:
+            if not mask & blocked:
+                blocked |= mask
+                room -= 1
+                if room < 0:
+                    return True
+        return room < 0
+
+
+def _fpt_solve(triangles: _Triangles, k: int) -> FptResult:
+    g, omega = triangles.g, triangles.omega
     stats = FptStats()
-    if is_metric(g):
-        # Any budget admits the empty repair on a metric graph.
+    if not triangles.masks:
+        # A chordal graph without broken triangles is metric: any budget
+        # admits the empty repair.
         return FptResult(frozenset(), RepairDelta({}, omega), k, stats)
 
-    triangles = broken_triangles(g)
-    role_count: dict[tuple[int, int], int] = {}
-    for t in triangles:
-        counted = t.bottom_edges() if omega is OmegaClass.INCREASE_ONLY else t.edges()
-        for e in counted:
-            role_count[e] = role_count.get(e, 0) + 1
-    seed = sorted(e for e, c in role_count.items() if c > k)
+    seed = sorted(e for e, c in triangles.role_count.items() if c > k)
     if len(seed) > k:
         # Forced edges alone exceed the budget, so no size-k repair exists.
         return FptResult(None, None, k, stats)
 
     cap = POOL_BOUND_FACTOR[omega] * k * k
-    state = _Search(g, omega, k, cap, stats)
+    state = _Search(triangles, k, cap, stats)
     pool: list[tuple[int, int]] = []
     in_pool: set = set(seed)  # seeding never re-adds support edges
+    hit = sum(triangles.bit[e] for e in seed)
+    for mask in triangles.masks:
+        if not mask & hit:
+            state.add_candidates(pool, in_pool, triangles.edges_of(mask))
     if omega is OmegaClass.INCREASE_ONLY:
-        for t in triangles:
-            bottoms = t.bottom_edges()
-            if not any(b in seed for b in bottoms):
-                state.add_candidates(pool, in_pool, sorted(bottoms))
         intw = g.integer_form()[1]
         for (i, j) in seed:
             pairs = [(edge_key(i, l), edge_key(j, l)) for l in _select(g, i, j, k, largest=True)]
             state.add_candidates(pool, in_pool, [a if intw[a] >= intw[b] else b for a, b in pairs])
     else:
-        for t in triangles:
-            edges = t.edges()
-            if not any(e in seed for e in edges):
-                state.add_candidates(pool, in_pool, sorted(edges))
         for (i, j) in seed:
             for largest in (True, False):
                 for l in _select(g, i, j, k, largest=largest):
                     state.add_candidates(pool, in_pool, [edge_key(i, l), edge_key(j, l)])
 
-    found = state.cover(list(seed), frozenset(), pool, in_pool)
+    found = state.cover(seed, hit, frozenset(), pool, in_pool)
     if found is None:
         return FptResult(None, None, k, stats)
     support, delta = found
@@ -127,10 +190,10 @@ def _fpt_solve(g: WeightedGraph, k: int, omega: OmegaClass) -> FptResult:
 
 
 class _Search:
-    def __init__(self, g: WeightedGraph, omega: OmegaClass, k: int, cap: int,
-                 stats: FptStats):
-        self.g = g
-        self.omega = omega
+    def __init__(self, triangles: _Triangles, k: int, cap: int, stats: FptStats):
+        self.triangles = triangles
+        self.g = triangles.g
+        self.omega = triangles.omega
         self.k = k
         self.cap = cap
         self.stats = stats
@@ -147,15 +210,17 @@ class _Search:
         assert len(pool) <= self.cap
         self.stats.max_pool = max(self.stats.max_pool, len(pool))
 
-    def cover(self, support: list, expanded: frozenset, pool: list, in_pool: set):
+    def cover(self, support: list, hit: int, expanded: frozenset, pool: list, in_pool: set):
+        """First accepted support below this node; ``hit`` is ``support`` as a mask."""
         self.stats.nodes += 1
+        if self.triangles.packing_exceeds(hit, self.k - len(support)):
+            self.stats.pruned += 1
+            return None
         if len(support) == self.k:
             self.stats.leaves += 1
             outcome = verify_support(self.g, support, self.omega)
             if outcome.accepted:
                 return frozenset(support), outcome.delta
-            return None
-        if len(support) > self.k:
             return None
 
         g, k = self.g, self.k
@@ -173,11 +238,12 @@ class _Search:
         if self.omega is OmegaClass.GENERAL:
             self.add_candidates(pool, in_pool, _closing_edges(self.g, support))
 
+        bit = self.triangles.bit
         for idx, e in enumerate(pool):
             rest = pool[:idx] + pool[idx + 1:]
             # e stays in the dedupe set: it is in the support now and must not
             # re-enter any descendant pool.
-            found = self.cover(support + [e], expanded, rest, in_pool)
+            found = self.cover(support + [e], hit | bit[e], expanded, rest, in_pool)
             if found is not None:
                 return found
         return None

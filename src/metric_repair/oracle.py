@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from itertools import combinations
 
-from .detect import broken_cycles, is_metric
+from .detect import broken_cycles, cover_masks, edge_bits, is_metric
 from .exact import verify_support
 from .graphs import (
     EnumerationBudgetError,
@@ -121,7 +121,7 @@ def _acceptance_test(g: WeightedGraph, omega: OmegaClass, method: str):
 
     if method == "cycles":
         requirements = _cover_requirements(g, omega)
-        edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
+        edge_bit = edge_bits(g)
 
         def accept_cycles(support: frozenset) -> RepairDelta | None:
             mask = 0
@@ -140,19 +140,8 @@ def _acceptance_test(g: WeightedGraph, omega: OmegaClass, method: str):
 
 def _cover_requirements(g: WeightedGraph, omega: OmegaClass,
                         max_len: int | None = None) -> list[int]:
-    """One bitmask of admissible cover edges per broken cycle (up to ``max_len`` edges).
-
-    Bit ``i`` stands for ``g.edges[i]``.
-    """
-    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
-    requirements = []
-    for witness in broken_cycles(g, max_len=max_len):
-        edges = witness.edges() if omega is OmegaClass.GENERAL else witness.bottom_edges()
-        mask = 0
-        for e in edges:
-            mask |= edge_bit[e]
-        requirements.append(mask)
-    return requirements
+    """``cover_masks`` of every broken cycle with up to ``max_len`` edges."""
+    return cover_masks(g, broken_cycles(g, max_len=max_len), omega)
 
 
 def minimum_cycle_cover(

@@ -111,6 +111,39 @@ def test_delta_json_malformed():
         parse_delta_json("not json")
 
 
+def test_delta_json_rejects_loosely_typed_fields():
+    # Read loosely, this parsed to {(0, 2): 1/10} with is_metric_after True.
+    with pytest.raises(InputFormatError):
+        parse_delta_json('{"omega": "general", "entries": [{"u": 0.9, "v": 2.7, '
+                         '"delta": 0.1}], "is_metric_after": "no"}')
+
+
+@pytest.mark.parametrize("entry, after", [
+    ('{"u": 0.0, "v": 2, "delta": "1"}', "true"),    # float vertex id
+    ('{"u": 0, "v": true, "delta": "1"}', "true"),   # boolean vertex id
+    ('{"u": 0, "v": "2", "delta": "1"}', "true"),    # string vertex id
+    ('{"u": 0, "v": 2, "delta": 0.5}', "true"),      # float delta
+    ('{"u": 0, "v": 2, "delta": true}', "true"),     # boolean delta
+    ('{"u": 0, "v": 2, "delta": "1"}', '"yes"'),     # string is_metric_after
+    ('{"u": 0, "v": 2, "delta": "1"}', "1"),         # integer is_metric_after
+    ('{"u": 0, "v": 2, "delta": "1"}', "null"),      # null is_metric_after
+])
+def test_delta_json_rejects_each_mistyped_field(entry, after):
+    text = f'{{"omega": "general", "entries": [{entry}], "is_metric_after": {after}}}'
+    with pytest.raises(InputFormatError):
+        parse_delta_json(text)
+
+
+def test_delta_json_accepts_integer_deltas_and_round_trips_fractions():
+    doc = parse_delta_json('{"omega": "general", "entries": [{"u": 0, "v": 2, "delta": -3}], '
+                           '"is_metric_after": false}')
+    assert dict(doc.delta.items()) == {(0, 2): -3} and doc.is_metric_after is False
+    delta = RepairDelta({(0, 1): Fraction(1, 3), (2, 5): Fraction(-7, 4), (1, 4): 2},
+                        OmegaClass.GENERAL)
+    text = serialize_delta_json(DeltaDocument(delta=delta, is_metric_after=True))
+    assert serialize_delta_json(parse_delta_json(text)) == text
+
+
 _SUMMARY = "# omega=general support_size=2 is_metric_after=true\n"
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_repair import (
     OmegaClass,
@@ -21,8 +23,10 @@ from metric_repair import (
     is_metric,
     verify_support,
 )
+from metric_repair.detect import broken_triangles, cover_masks
 from metric_repair.fpt import POOL_BOUND_FACTOR, _select
-from metric_repair.gadgets import planted_chordal
+from metric_repair.gadgets import base_graph_edges, planted_chordal, suspension
+from metric_repair.oracle import minimum_cycle_cover
 
 METRIC_TRIANGLE = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
@@ -116,7 +120,6 @@ def test_forced_seed_edges_lie_in_every_optimal_support():
             g, OmegaClass.INCREASE_ONLY, method="cycles")
         if opt == 0:
             continue
-        from metric_repair.detect import broken_triangles
         counts: dict = {}
         for t in broken_triangles(g):
             for e in t.bottom_edges():
@@ -183,3 +186,48 @@ def test_select_on_scaled_integers_matches_fraction_reference(seed):
                 assert got == _select_reference(g, i, j, k, largest)
                 ties += len(got) > k > 0
     assert ties  # boundary ties were exercised
+
+
+BOTH_MODES = (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL)
+
+
+@pytest.mark.parametrize("omega", BOTH_MODES)
+def test_packing_bound_leaves_one_verifier_call_on_suspension(omega):
+    # The suspension of the 8-path packs 4 disjoint triangle masks, so every
+    # budget below 4 is cut at its root, and at k = 4 only the one support
+    # meeting every mask reaches the Verifier (785 / 3,490 calls unpruned).
+    g = suspension(8, base_graph_edges("path", 8))
+    result = fpt_min_repair(g, omega)
+    assert result.budget == 4 and len(result.support) == 4
+    assert result.stats.leaves == 1
+    assert result.stats.pruned > 0
+
+
+@pytest.mark.parametrize("omega", BOTH_MODES)
+@pytest.mark.parametrize("n, k, seed", [(40, 4, 4), (40, 4, 13), (30, 5, 4), (30, 5, 5)])
+def test_deep_planted_draws_reach_the_triangle_cover_optimum(n, k, seed, omega):
+    # Without the packing bound each of these makes 3,000 to 35,000 Verifier calls.
+    g = planted_chordal(n, k, seed=seed).instance
+    result = fpt_min_repair(g, omega)
+    # Covering the broken triangles is necessary, so its minimum bounds the
+    # optimum from below; on a chordal graph it is also sufficient.
+    assert len(result.support) == minimum_cycle_cover(g, omega, 3)[0]
+    assert verify_support(g, result.support, omega).accepted
+    assert result.stats.leaves <= 10
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 20), n=st.integers(min_value=4, max_value=9),
+       increase=st.booleans(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_support_missing_a_triangle_mask_is_rejected(seed, n, increase, data):
+    # The lemma the packing bound rests on: a support that misses the
+    # admissible edges of some broken triangle admits no repair.
+    omega = OmegaClass.INCREASE_ONLY if increase else OmegaClass.GENERAL
+    g = planted_chordal(n, 3, seed=seed).instance
+    masks = cover_masks(g, broken_triangles(g), omega)
+    if not masks:
+        return
+    missed = data.draw(st.sampled_from(masks))
+    allowed = [e for i, e in enumerate(g.edges) if not missed >> i & 1]
+    support = data.draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    assert not verify_support(g, support, omega).accepted
