@@ -1,14 +1,15 @@
 """Approximation algorithms for increase-only and general repair.
 
-``shortest_path_cover`` repeatedly computes one canonical shortest path per
-remaining edge, keeps only the paths strictly shorter than their edge, moves
-each processed path's edges into the support (deleting them from the working
-graph and discarding stored paths that lose an edge), and recomputes when the
-batch runs dry.  Every broken cycle ends up with a bottom edge in the support,
-so the closing Verifier call always accepts in increase-only mode, with at
-most (L * OPT) support edges where L+1 bounds the broken-cycle length.  The
-general variant also moves each processed path's closing edge into the
-support, for an (L+1) * OPT bound.
+``shortest_path_cover`` works in batches.  Each batch walks the remaining
+edges in sorted order, takes the canonical shortest path of every edge whose
+path is strictly shorter than the edge, and skips a path that shares an edge
+with what the batch has already claimed.  The claimed edges move into the
+support and out of the working graph, the next batch recomputes the paths,
+and the loop ends with a batch that claims nothing.  Every broken cycle ends
+up with a bottom edge in the support, so the closing Verifier call always
+accepts in increase-only mode, with at most (L * OPT) support edges where L+1
+bounds the broken-cycle length.  The general variant also claims each taken
+path's closing edge, for an (L+1) * OPT bound.
 
 ``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, the
 checked view of a complete graph, and work on that graph's scaled integer
@@ -83,26 +84,24 @@ def _path_cover(g: WeightedGraph, close_cycle: bool, omega: OmegaClass) -> Appro
     while True:
         iterations += 1
         d = _scaled_apsp(g.n, scale, working)
-        pending = []
-        for (u, v) in sorted(working):
-            if d.row(u)[v] < working[(u, v)]:
-                path = d.path(u, v)
-                path_edges = frozenset(
-                    edge_key(path[i], path[i + 1]) for i in range(len(path) - 1))
-                pending.append(((u, v), path, path_edges))
-        if not pending:
-            break
         batch = []
-        while pending:
-            top, path, path_edges = pending.pop(0)
+        claimed: set = set()
+        for (u, v), w in sorted(working.items()):
+            if d.row(u)[v] >= w:
+                continue
+            path = d.path(u, v)
+            path_edges = {edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)}
+            if path_edges & claimed:
+                continue
             batch.append(path)
-            removed = set(path_edges)
+            claimed |= path_edges
             if close_cycle:
-                removed.add(top)
-            support |= removed
-            for e in removed:
-                working.pop(e, None)
-            pending = [entry for entry in pending if not (entry[2] & removed)]
+                claimed.add((u, v))
+        if not batch:
+            break
+        support |= claimed
+        for e in claimed:
+            del working[e]
         batches.append(tuple(batch))
 
     outcome = verify_support(g, support, omega)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .detect import instance_stats
+from .detect import longest_broken_cycle_len
 from .graphs import DistanceMatrix, OmegaClass, WeightedGraph
 from .oracle import DEFAULT_EDGE_LIMIT, brute_force_opt, minimum_cycle_cover
 from .gadgets import (
@@ -82,9 +82,9 @@ def _row(label: str, kind: str, instance, omega: OmegaClass, algo: str,
     graph = instance.to_graph() if isinstance(instance, DistanceMatrix) else instance
     longest = None
     if with_l and graph.n <= _EXACT_L_MAX_N:
-        stats = instance_stats(graph, cycle_budget=_EXACT_L_MAX_N)
-        if stats.longest_broken_cycle is not None:
-            longest = stats.longest_broken_cycle - 1
+        length = longest_broken_cycle_len(graph, _EXACT_L_MAX_N)
+        if length is not None:
+            longest = length - 1
     return BenchRow(
         instance=label, kind=kind, n=report.n, m=report.m, algo=algo,
         omega=omega.value, support_size=size, opt=opt,

@@ -30,6 +30,7 @@ from .detect import broken_cycles, cover_masks, edge_bits, is_metric
 from .exact import verify_support
 from .graphs import (
     EnumerationBudgetError,
+    InputFormatError,
     OmegaClass,
     RepairDelta,
     WeightedGraph,
@@ -43,7 +44,11 @@ _EDGE_LIMIT_ENV = "METRIC_REPAIR_ORACLE_EDGE_LIMIT"
 def _edge_limit(override: int | None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(_EDGE_LIMIT_ENV, str(DEFAULT_EDGE_LIMIT)))
+    raw = os.environ.get(_EDGE_LIMIT_ENV, str(DEFAULT_EDGE_LIMIT))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputFormatError(f"{_EDGE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def brute_force_opt(

@@ -7,16 +7,18 @@ unreachable), so callers compare it with scaled edge weights exactly, and a
 
 * ``dense`` -- matrix relaxation (Floyd-Warshall) filling every row at once,
   through a vectorized numpy int64 loop on large instances whose distances
-  fit comfortably in 64 bits and over Python ints otherwise.
+  fit comfortably in 64 bits and over Python ints otherwise.  It runs when
+  ``m > n^2/4``.
 * ``sparse`` -- priority-queue search (Dijkstra; weights are nonnegative),
-  run for a source the first time its row is read.
+  run for a source the first time its row is read.  It runs otherwise.
 
-``engine="auto"`` picks dense when ``m > n^2/4`` and sparse otherwise.
-
-Path reconstruction is canonical and engine-independent: for each source the
-predecessor tree is rebuilt from the exact distances, settling vertices in
-``(distance, vertex id)`` order and always attaching a vertex to its smallest
-already-settled predecessor.  Repeated runs therefore return identical paths.
+Paths are canonical and engine-independent: they come from the search's
+predecessor tree.  The search settles vertices in ``(distance, vertex id)``
+order and attaches each one to its smallest already-settled tight
+predecessor: a strict improvement resets the parent, a tie keeps the smaller
+id.  This stays acyclic across zero-weight plateaus, and repeated runs return
+identical paths.  A row the dense engine filled gets its tree from one search
+the first time a path from that source is read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class ApspResult:
     """Scaled integer distances plus lazily built canonical predecessor trees.
 
     ``scale`` and ``intw`` are the ``(scale, {edge: int})`` pair the distances
-    were computed from; rows the engine left unfilled are searched on first read.
+    were computed from.  A row the dense engine did not fill, and the tree of
+    any source, come from one search the first time either is read.
     """
 
     __slots__ = ("scale", "intw", "_rows", "_adj", "_parents")
@@ -49,10 +52,13 @@ class ApspResult:
             self._adj[v].append((u, w))
         self._parents: dict[int, tuple[int | None, ...]] = {}
 
+    def _search(self, u: int) -> None:
+        self._rows[u], self._parents[u] = _dijkstra(self._adj, u)
+
     def row(self, u: int) -> list[int | None]:
         """Scaled distances from ``u`` to every vertex (None when unreachable)."""
         if self._rows[u] is None:
-            self._rows[u] = _dijkstra(self._adj, u)
+            self._search(u)
         return self._rows[u]
 
     def dist(self, u: int, v: int) -> Fraction | None:
@@ -70,7 +76,7 @@ class ApspResult:
         vertices.
         """
         if source not in self._parents:
-            self._parents[source] = _canonical_parents(self._adj, self.row(source), source)
+            self._search(source)
         return self._parents[source]
 
     def path(self, u: int, v: int) -> tuple[int, ...] | None:
@@ -89,24 +95,23 @@ class ApspResult:
         return tuple(out)
 
 
-def apsp(g: WeightedGraph, engine: str = "auto") -> ApspResult:
-    """All-pairs shortest paths of ``g``; results are cached per engine."""
-    engine = _pick_engine(g.n, g.m, engine)
+def apsp(g: WeightedGraph) -> ApspResult:
+    """All-pairs shortest paths of ``g``, cached on the graph by engine name."""
+    engine = "dense" if _is_dense(g.n, g.m) else "sparse"
     cached = g._apsp_cache.get(engine)
     if cached is None:
         scale, intw = g.integer_form()
-        cached = g._apsp_cache[engine] = _scaled_apsp(g.n, scale, intw, engine)
+        cached = g._apsp_cache[engine] = _scaled_apsp(g.n, scale, intw)
     return cached
 
 
-def _scaled_apsp(n: int, scale: int, intw: dict[tuple[int, int], int],
-                 engine: str = "auto") -> ApspResult:
+def _scaled_apsp(n: int, scale: int, intw: dict[tuple[int, int], int]) -> ApspResult:
     """Shortest paths on vertices ``0..n-1`` with scaled integer edge weights.
 
     The uncached kernel entry behind ``apsp``, for callers holding a one-off
     integer edge map.
     """
-    if _pick_engine(n, len(intw), engine) == "sparse":
+    if not _is_dense(n, len(intw)):
         return ApspResult(n, scale, intw)
     sentinel = max(intw.values(), default=0) * max(n, 1) + 1
     if sentinel < _INT64_SAFE and n >= _NUMPY_MIN_N:
@@ -114,12 +119,8 @@ def _scaled_apsp(n: int, scale: int, intw: dict[tuple[int, int], int],
     return ApspResult(n, scale, intw, _dense_int_python(n, intw, sentinel))
 
 
-def _pick_engine(n: int, m: int, engine: str) -> str:
-    if engine == "auto":
-        return "dense" if m > n * n / 4 else "sparse"
-    if engine not in ("dense", "sparse"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine
+def _is_dense(n: int, m: int) -> bool:
+    return m > n * n / 4
 
 
 # -- dense engine -----------------------------------------------------------
@@ -170,58 +171,30 @@ def _unreached_to_none(rows: list[list[int]], sentinel: int) -> list[list[int | 
 # -- sparse engine ----------------------------------------------------------
 
 
-def _dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list[int | None]:
+def _dijkstra(adj: list[list[tuple[int, int]]],
+              source: int) -> tuple[list[int | None], tuple[int | None, ...]]:
+    # Distances and the canonical tree (rule in the module docstring) at once.
+    # Settled vertices are never relaxed again, so the source keeps no parent.
     dist: list[int | None] = [None] * len(adj)
+    parent: list[int | None] = [None] * len(adj)
+    done = [False] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
-    done = [False] * len(adj)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        du, u = heapq.heappop(heap)
+        du, u = pop(heap)
         if done[u]:
             continue
         done[u] = True
         for v, w in adj[u]:
-            alt = du + w
-            if dist[v] is None or alt < dist[v]:
-                dist[v] = alt
-                heapq.heappush(heap, (alt, v))
-    return dist
-
-
-# -- canonical predecessor trees ---------------------------------------------
-
-
-def _canonical_parents(adj: list[list[tuple[int, int]]], drow: list[int | None],
-                       source: int) -> tuple[int | None, ...]:
-    # Settle vertices one at a time.  A vertex becomes eligible once some
-    # settled neighbor p satisfies dist[p] + w(p,v) == dist[v]; among eligible
-    # vertices the smallest (dist, id) settles next, attached to its smallest
-    # settled tight predecessor.  This stays acyclic even across zero-weight
-    # plateaus, where a naive "smallest tight predecessor" rule can loop.
-    # Candidates are maintained incrementally as vertices settle.
-    n = len(adj)
-    parent: list[int | None] = [None] * n
-    settled = [False] * n
-    candidate: list[int | None] = [None] * n
-
-    def relax_from(p: int) -> None:
-        dp = drow[p]
-        for v, w in adj[p]:
-            if settled[v] or drow[v] is None:
+            if done[v]:
                 continue
-            if dp + w == drow[v]:
-                if candidate[v] is None or p < candidate[v]:
-                    candidate[v] = p
-
-    settled[source] = True
-    relax_from(source)
-    remaining = {v for v in range(n) if drow[v] is not None and v != source}
-    for _ in range(len(remaining)):
-        best_v = min((v for v in remaining if candidate[v] is not None),
-                     key=lambda v: (drow[v], v), default=None)
-        assert best_v is not None, "reachable vertex without settled tight predecessor"
-        parent[best_v] = candidate[best_v]
-        settled[best_v] = True
-        remaining.remove(best_v)
-        relax_from(best_v)
-    return tuple(parent)
+            alt = du + w
+            dv = dist[v]
+            if dv is None or alt < dv:
+                dist[v] = alt
+                parent[v] = u
+                push(heap, (alt, v))
+            elif alt == dv and u < parent[v]:
+                parent[v] = u
+    return dist, tuple(parent)

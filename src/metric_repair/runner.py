@@ -12,7 +12,7 @@ from .approx import (
     repaired_cell_count,
     shortest_path_cover,
 )
-from .detect import instance_stats, is_metric
+from .detect import is_metric, longest_broken_cycle_len
 from .exact import decrease_repair
 from .fpt import fpt_min_repair
 from .graphs import (
@@ -124,6 +124,5 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         valid=valid,
     )
     if exact_cycle_budget is not None and graph.n <= exact_cycle_budget:
-        report.longest_broken_cycle = instance_stats(
-            graph, cycle_budget=exact_cycle_budget).longest_broken_cycle
+        report.longest_broken_cycle = longest_broken_cycle_len(graph, exact_cycle_budget)
     return report

@@ -118,3 +118,40 @@ def min_vertex_cover_size(n: int, edges) -> int:
             if all(u in chosen or v in chosen for (u, v) in edges):
                 return size
     raise AssertionError("all vertices always cover")
+
+
+def canonical_parents(n: int, intw: dict, drow: list, source: int) -> tuple:
+    """Canonical shortest-path tree rebuilt from exact distances ``drow``.
+
+    The reference for ``ApspResult.parents``: vertices settle one at a time.
+    A vertex becomes eligible once some settled neighbor p satisfies
+    ``drow[p] + w(p, v) == drow[v]``; among eligible vertices the smallest
+    ``(distance, id)`` settles next, attached to its smallest settled tight
+    predecessor.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in intw.items():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    parent: list[int | None] = [None] * n
+    settled = [False] * n
+    candidate: list[int | None] = [None] * n
+
+    def relax_from(p: int) -> None:
+        for v, w in adj[p]:
+            if settled[v] or drow[v] is None:
+                continue
+            if drow[p] + w == drow[v] and (candidate[v] is None or p < candidate[v]):
+                candidate[v] = p
+
+    settled[source] = True
+    relax_from(source)
+    remaining = {v for v in range(n) if drow[v] is not None and v != source}
+    while remaining:
+        best = min((v for v in remaining if candidate[v] is not None),
+                   key=lambda v: (drow[v], v))
+        parent[best] = candidate[best]
+        settled[best] = True
+        remaining.remove(best)
+        relax_from(best)
+    return tuple(parent)

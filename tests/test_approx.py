@@ -32,7 +32,10 @@ from metric_repair.gadgets import (
     component_blocks,
     cycle_tight,
     dense_block_matrix,
+    metric_closure_weights,
+    planted_chordal,
     planted_complete,
+    random_connected_graph,
     sweep_worst_matrix,
 )
 
@@ -106,6 +109,63 @@ def test_processed_batches_are_pairwise_edge_disjoint():
                 edges = {edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)}
                 assert not (edges & seen)
                 seen |= edges
+
+
+def _pop_and_refilter_cover(g: WeightedGraph, close_cycle: bool):
+    # The batch loop as first written: queue every broken edge's path, then
+    # pop the head and drop the queued paths that share an edge with it.
+    from metric_repair.paths import _scaled_apsp
+
+    support: set = set()
+    batches = []
+    scale, intw = g.integer_form()
+    working = dict(intw)
+    iterations = 0
+    while True:
+        iterations += 1
+        d = _scaled_apsp(g.n, scale, working)
+        pending = []
+        for (u, v) in sorted(working):
+            if d.row(u)[v] < working[(u, v)]:
+                path = d.path(u, v)
+                pending.append(((u, v), path, frozenset(
+                    edge_key(path[i], path[i + 1]) for i in range(len(path) - 1))))
+        if not pending:
+            break
+        batch = []
+        while pending:
+            top, path, path_edges = pending.pop(0)
+            batch.append(path)
+            removed = set(path_edges) | ({top} if close_cycle else set())
+            support |= removed
+            for e in removed:
+                working.pop(e, None)
+            pending = [entry for entry in pending if not (entry[2] & removed)]
+        batches.append(tuple(batch))
+    return frozenset(support), tuple(batches), iterations
+
+
+def _sparse_planted(n: int, seed: int) -> WeightedGraph:
+    rng = random.Random(seed)
+    metric = metric_closure_weights(n, random_connected_graph(n, 3 * n, rng), rng, (1, 20))
+    lowered = {e: rng.randrange(metric.integer_form()[1][e])
+               for e in sorted(rng.sample(metric.edges, 3))}
+    return metric.replace_weights(lowered)
+
+
+def test_one_pass_batches_match_pop_and_refilter_loop():
+    graphs = [cycle_tight(60)]
+    graphs += [planted_complete(n, k, seed=s).instance.to_graph()
+               for n, k, s in ((12, 3, 1), (20, 4, 2), (30, 6, 3))]
+    graphs += [planted_chordal(n, k, seed=s).instance
+               for n, k, s in ((15, 3, 4), (25, 4, 5), (40, 6, 6))]
+    graphs += [_sparse_planted(n, seed) for n, seed in ((30, 7), (60, 8), (90, 9))]
+    for g in graphs:
+        for close_cycle, cover in ((False, shortest_path_cover),
+                                   (True, general_shortest_path_cover)):
+            report = cover(g)
+            assert (report.support, report.batches, report.iterations) == \
+                _pop_and_refilter_cover(g, close_cycle)
 
 
 def test_increase_mode_general_cover_can_reject():

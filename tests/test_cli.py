@@ -203,6 +203,22 @@ def test_detect_scans_broken_triangles_once(tmp_path, capsys, monkeypatch):
     assert "broken_triangles: 2" in out
 
 
+def test_exact_l_reads_only_the_longest_broken_cycle(monkeypatch):
+    # The longest-cycle report needs neither a triangle scan nor is_metric
+    # beyond the runner's own validation.
+    from metric_repair import OmegaClass, detect, runner
+    from metric_repair.gadgets import cycle_tight
+
+    calls = []
+    original = detect.broken_triangles
+    monkeypatch.setattr(detect, "broken_triangles",
+                        lambda g: calls.append(g) or original(g))
+    report = runner.run_algo(cycle_tight(6), OmegaClass.INCREASE_ONLY, "spc",
+                             exact_cycle_budget=9)
+    assert report.longest_broken_cycle == 6
+    assert calls == []
+
+
 def test_gen_writes_deterministic_edge_list(tmp_path, capsys):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

@@ -8,6 +8,7 @@ import pytest
 
 from metric_repair import (
     EnumerationBudgetError,
+    InputFormatError,
     OmegaClass,
     WeightedGraph,
     all_optimal_supports,
@@ -68,6 +69,23 @@ def test_edge_limit_env_var(monkeypatch):
         brute_force_opt(big, OmegaClass.GENERAL)
     monkeypatch.setenv("METRIC_REPAIR_ORACLE_EDGE_LIMIT", "30")
     brute_force_opt(big, OmegaClass.GENERAL)
+
+
+def test_edge_limit_env_var_must_be_an_integer(monkeypatch, tmp_path, capsys):
+    # A bad value is an input error (CLI exit 2), not a crash with exit 1;
+    # an explicit argument still wins over the environment.
+    from metric_repair.cli import main
+
+    big = WeightedGraph(8, ((u, v, 1) for u in range(8) for v in range(u + 1, 8)))
+    monkeypatch.setenv("METRIC_REPAIR_ORACLE_EDGE_LIMIT", "abc")
+    with pytest.raises(InputFormatError):
+        brute_force_opt(big, OmegaClass.GENERAL)
+    brute_force_opt(big, OmegaClass.GENERAL, edge_limit=28)
+    inp = tmp_path / "t.txt"
+    inp.write_text("0 1 5\n1 2 1\n0 2 1\n", encoding="utf-8")
+    assert main(["repair", str(inp), "--omega", "increase", "--algo", "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "METRIC_REPAIR_ORACLE_EDGE_LIMIT" in err
 
 
 def test_verifier_and_cycle_methods_agree():

@@ -6,9 +6,23 @@ import random
 from fractions import Fraction
 
 from metric_repair import WeightedGraph, apsp, paths
-from metric_repair.paths import _dense_int_numpy, _dense_int_python
+from metric_repair.paths import ApspResult, _dense_int_numpy, _dense_int_python
 
-from conftest import all_simple_path_dist, random_graph
+from conftest import all_simple_path_dist, canonical_parents, random_graph
+
+
+def _sentinel(g: WeightedGraph) -> int:
+    return max(g.integer_form()[1].values(), default=0) * g.n + 1
+
+
+def _python_dense(g: WeightedGraph) -> ApspResult:
+    scale, intw = g.integer_form()
+    return ApspResult(g.n, scale, intw, _dense_int_python(g.n, intw, _sentinel(g)))
+
+
+def _searched(g: WeightedGraph) -> ApspResult:
+    scale, intw = g.integer_form()
+    return ApspResult(g.n, scale, intw)
 
 
 def test_path_graph_distance():
@@ -60,25 +74,24 @@ def test_engines_agree_on_integers_and_fractions():
         frac = WeightedGraph(
             7, ((u, v, g.weight(u, v) / 3) for (u, v) in g.edges))
         for inst in (g, frac):
-            dense = apsp(inst, engine="dense")
-            sparse = apsp(inst, engine="sparse")
+            dense, sparse = _python_dense(inst), _searched(inst)
             for u in range(7):
                 for v in range(7):
-                    assert dense.dist(u, v) == sparse.dist(u, v)
+                    assert dense.dist(u, v) == sparse.dist(u, v) == apsp(inst).dist(u, v)
 
 
 def _guard_graph(rng: random.Random, top: int) -> WeightedGraph:
     # n = 64 with weights in [top / 2, top], ``top`` among them, and vertex 63
     # isolated, so the relaxation adds sentinel to sentinel as well as long
-    # distances.
-    g = random_graph(rng, 63, 200, weights=(top // 2, top))
+    # distances.  1,100 edges lie past the dense threshold n^2/4 = 1,024.
+    g = random_graph(rng, 63, 1100, weights=(top // 2, top))
     weights = {e: g.weight(*e) for e in g.edges}
     weights[g.edges[0]] = top
     return WeightedGraph(64, ((u, v, w) for (u, v), w in weights.items()))
 
 
 def test_numpy_and_python_dense_kernels_agree(monkeypatch):
-    # numpy int64 rows == Python rows == sparse Dijkstra rows (== brute-force
+    # numpy int64 rows == Python rows == searched Dijkstra rows (== brute-force
     # distances on the small graphs), including at the int64 guard: at n = 64
     # a largest weight of 2^56 - 1 gives the sentinel 2^62 - 63, so numpy
     # runs, and 2^56 gives 2^62 + 1, so the Python kernel runs.
@@ -92,21 +105,22 @@ def test_numpy_and_python_dense_kernels_agree(monkeypatch):
     at_guard = [_guard_graph(rng, 2 ** 56 - 1), _guard_graph(rng, 2 ** 56)]
     for g in small + at_guard:
         scale, intw = g.integer_form()
-        sentinel = max(intw.values(), default=0) * g.n + 1
+        sentinel = _sentinel(g)
         python_rows = _dense_int_python(g.n, intw, sentinel)
-        assert python_rows == [apsp(g, engine="sparse").row(u) for u in range(g.n)]
+        searched = _searched(g)
+        assert python_rows == [searched.row(u) for u in range(g.n)]
         if sentinel < 2 ** 62:
             assert _dense_int_numpy(g.n, intw, sentinel) == python_rows
         numpy_calls.clear()
-        assert [apsp(g, engine="dense").row(u) for u in range(g.n)] == python_rows
+        assert [apsp(g).row(u) for u in range(g.n)] == python_rows
         assert len(numpy_calls) == (g.n >= 64 and sentinel < 2 ** 62)
         if g.n < 64:
             assert [[all_simple_path_dist(g, u, v) for v in range(g.n)]
                     for u in range(g.n)] == \
                 [[None if x is None else Fraction(x, scale) for x in row]
                  for row in python_rows]
-    assert [max(g.integer_form()[1].values()) * 64 + 1 for g in at_guard] == \
-        [2 ** 62 - 63, 2 ** 62 + 1]
+    assert [_sentinel(g) for g in at_guard] == [2 ** 62 - 63, 2 ** 62 + 1]
+    assert all(g.m > g.n ** 2 / 4 for g in at_guard)
 
 
 def test_distance_invariants():
@@ -149,17 +163,66 @@ def test_zero_weight_plateaus_reconstruct():
 
 
 def test_path_reconstruction_is_deterministic():
-    # Across runs and across engines; the second input has zero-weight
-    # plateaus and many equal-length paths.
+    # Across runs and across the rows' kernels; the second input has
+    # zero-weight plateaus and many equal-length paths.
     rng = random.Random(77)
     plateaus = WeightedGraph(8, [(0, 1, 1), (0, 2, 1), (1, 2, 0), (1, 3, 1), (2, 3, 1),
                                  (3, 4, 0), (3, 5, 0), (4, 5, 0), (4, 6, 2), (5, 6, 2),
                                  (6, 7, 0), (0, 7, 4)])
     for g in (random_graph(rng, 7, 14, weights=(0, 5)), plateaus):
-        first = apsp(g, engine="dense")
-        second = apsp(WeightedGraph(g.n, ((u, v, g.weight(u, v)) for (u, v) in g.edges)),
-                      engine="sparse")
-        sparse = apsp(g, engine="sparse")
+        dense = _python_dense(g)
+        rebuilt = apsp(WeightedGraph(g.n, ((u, v, g.weight(u, v)) for (u, v) in g.edges)))
+        searched = _searched(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert first.path(u, v) == second.path(u, v) == sparse.path(u, v)
+                assert dense.path(u, v) == rebuilt.path(u, v) == searched.path(u, v)
+
+
+def _tree_sweep_graphs():
+    # n <= 12, weights from {0}, {0, 1}, 0-3, 1-9 and 0-10, densities from
+    # empty to complete, and the last vertex sometimes isolated.
+    rng = random.Random(500)
+    for weights in ((0, 0), (0, 1), (0, 3), (1, 9), (0, 10)):
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            core = n - 1 if n > 1 and rng.random() < 0.3 else n
+            m = rng.randint(0, core * (core - 1) // 2)
+            g = random_graph(rng, core, m, weights)
+            yield WeightedGraph(n, ((u, v, g.weight(u, v)) for (u, v) in g.edges))
+
+
+def _numpy_dense(g: WeightedGraph) -> ApspResult:
+    scale, intw = g.integer_form()
+    return ApspResult(g.n, scale, intw, _dense_int_numpy(g.n, intw, _sentinel(g)))
+
+
+def _assert_canonical_trees(result: ApspResult) -> None:
+    n = len(result._rows)
+    for s in range(n):
+        expected = canonical_parents(n, result.intw, result.row(s), s)
+        assert result.parents(s) == expected, s
+
+
+def test_search_trees_match_canonical_reference():
+    # The tree each search builds equals the settle-one-at-a-time reference
+    # for every source, on rows the Python dense kernel filled, on lazily
+    # searched rows and through apsp's automatic choice.
+    count = 0
+    for g in _tree_sweep_graphs():
+        for result in (_python_dense(g), _searched(g), apsp(g)):
+            _assert_canonical_trees(result)
+        count += 1
+    assert count == 200
+
+
+def test_search_trees_match_reference_on_numpy_rows():
+    # Dense n >= 64 graphs with zero-weight plateaus and ties, one with an
+    # isolated vertex: the numpy kernel fills the rows apsp returns.
+    rng = random.Random(501)
+    for n, weights in ((64, (0, 3)), (66, (0, 1)), (70, (1, 9))):
+        core = random_graph(rng, n - 1, (n - 1) * (n - 2) // 2 * 3 // 5, weights)
+        g = WeightedGraph(n, ((u, v, core.weight(u, v)) for (u, v) in core.edges))
+        assert g.m > n * n / 4
+        _assert_canonical_trees(_numpy_dense(g))
+        _assert_canonical_trees(apsp(g))
+        assert apsp(g) is g._apsp_cache["dense"]
