@@ -87,7 +87,7 @@ def _path_cover(g: WeightedGraph, close_cycle: bool, omega: OmegaClass) -> Appro
         batch = []
         claimed: set = set()
         for (u, v), w in sorted(working.items()):
-            if d.row(u)[v] >= w:
+            if d.edge(u, v) >= w:
                 continue
             path = d.path(u, v)
             path_edges = {edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)}

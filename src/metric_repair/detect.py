@@ -30,7 +30,7 @@ from .paths import apsp
 def is_metric(g: WeightedGraph) -> bool:
     """True iff every edge weight equals the distance between its endpoints."""
     d = apsp(g)
-    return all(d.row(u)[v] == w for (u, v), w in d.intw.items())
+    return all(d.edge(u, v) == w for (u, v), w in d.intw.items())
 
 
 def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
@@ -42,7 +42,7 @@ def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
     """
     d = apsp(g)
     for (u, v) in g.edges:
-        if d.row(u)[v] < d.intw[(u, v)]:
+        if d.edge(u, v) < d.intw[(u, v)]:
             path = d.path(u, v)
             assert path is not None and len(path) >= 3
             return BrokenCycleWitness(cycle=path, top_edge=(u, v))

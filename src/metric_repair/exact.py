@@ -72,10 +72,11 @@ def verify_support(g: WeightedGraph, support: Iterable[tuple[int, int]],
     cap = max(intw.values(), default=0)
     d = _scaled_apsp(g.n, scale, {**intw, **dict.fromkeys(s, cap)})
 
-    # Rows are searched as the edge walk reads them, so a rejection stops early.
+    # Each source is searched, only as far as its edges reach, when the edge
+    # walk first reads it, so a rejection stops early.
     entries: dict[tuple[int, int], Fraction] = {}
     for (u, v), old in intw.items():
-        new = d.row(u)[v]  # never None: the edge itself bounds the distance
+        new = d.edge(u, v)
         if new == old:
             continue
         if (u, v) not in s:
@@ -98,7 +99,7 @@ def decrease_repair(g: WeightedGraph) -> RepairDelta:
     d = apsp(g)
     entries = {}
     for (u, v), w in d.intw.items():
-        dist = d.row(u)[v]
+        dist = d.edge(u, v)
         if dist < w:
             entries[(u, v)] = Fraction(dist - w, d.scale)
     return RepairDelta(entries, OmegaClass.DECREASE_ONLY)

@@ -5,6 +5,13 @@ digit-wise (never through binary floating point) and serialized back as exact
 decimals when the denominator allows, as ``p/q`` otherwise.  Canonical
 serialization is deterministic, so ``serialize(parse(serialize(x)))`` is
 byte-identical to ``serialize(x)``.
+
+Parsed numbers stay printable: Python formats an int of at most 4300 digits
+(``sys.get_int_max_str_digits``), so a decimal exponent past 4300 is refused
+before it is expanded, and a parsed graph whose scale or largest scaled
+weight reaches ``2**12000`` (3613 digits) is refused too.  That leaves room
+for the distance sums and deltas the solvers print.  Both are
+``InputFormatError``; graphs built in library code are not checked.
 """
 
 from __future__ import annotations
@@ -23,14 +30,21 @@ from .graphs import (
     edge_key,
 )
 
+MAX_EXPONENT = 4300
+MAX_SCALED_BITS = 12000
+
 
 def parse_exact(token: str) -> int | Fraction:
     """Exact rational from a decimal or p/q string: plain ASCII digits give an
-    ``int``, the rest go through ``Fraction``, which sets the accepted language."""
+    ``int``, the rest go through ``Fraction``, which sets the accepted language.
+    A decimal exponent of magnitude above ``MAX_EXPONENT`` is refused."""
     stripped = token.strip()
     try:
         if stripped.isascii() and stripped.isdigit():
             return int(stripped)
+        _, e, exponent = stripped.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad number {token!r}: {exc}") from None
@@ -92,7 +106,16 @@ def parse_edge_list(text: str) -> WeightedGraph:
             raise InputFormatError(f"line {lineno}: negative weight {parts[2]}")
         edges.append((u, v, w))
     n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-    return WeightedGraph(n, edges)
+    return _printable(WeightedGraph(n, edges))
+
+
+def _printable(g: WeightedGraph) -> WeightedGraph:
+    """``g``, unless its scale or a scaled weight reaches ``2**MAX_SCALED_BITS``."""
+    scale, intw = g.integer_form()
+    if max(scale, max(intw.values(), default=0)).bit_length() > MAX_SCALED_BITS:
+        raise InputFormatError(
+            f"weights need a scale or scaled value of 2^{MAX_SCALED_BITS} or more")
+    return g
 
 
 def _formatted_weights(g: WeightedGraph) -> dict[tuple[int, int], str]:
@@ -143,7 +166,7 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
                 raise InputFormatError(f"cells ({i},{j})/({j},{i}) are not symmetric")
     edges = [(i, j, parsed[i][j]) for i in range(n) for j in range(i + 1, n)
              if parsed[i][j] is not None]
-    return WeightedGraph(n, edges)
+    return _printable(WeightedGraph(n, edges))
 
 
 def serialize_matrix_csv(g: WeightedGraph) -> str:

@@ -27,7 +27,8 @@ branching order, the first accepted support and its delta stay as they are
 without the bound.
 
 The per-graph work (chordality, broken triangles, their masks) is done once
-per public call; ``fpt_min_repair`` shares it across its deepening rounds.
+per public call; ``fpt_min_repair`` shares it, and one ``FptStats``, across
+its deepening rounds.
 
 Pool size stays within 5k^2 (increase) / 12k^2 (general).  Tied candidate
 values at a selection boundary are all taken; if that ever pushed the pool past
@@ -55,10 +56,11 @@ POOL_BOUND_FACTOR = {OmegaClass.INCREASE_ONLY: 5, OmegaClass.GENERAL: 12}
 
 @dataclass
 class FptStats:
-    """Search counts of the budget a result was found or refused at.
+    """Search counts of one public call.
 
     ``nodes`` counts every node entered, ``pruned`` those the packing bound
-    cut, and ``leaves`` the Verifier calls.
+    cut, and ``leaves`` the Verifier calls.  ``fpt_min_repair`` adds up every
+    deepening round; ``fpt_increase`` and ``fpt_general`` search one budget.
     """
 
     nodes: int = 0
@@ -91,12 +93,16 @@ def fpt_general(g: WeightedGraph, k: int) -> FptResult:
 
 
 def fpt_min_repair(g: WeightedGraph, omega: OmegaClass) -> FptResult:
-    """Optimal repair by iterative deepening over the budget ``k``."""
+    """Optimal repair by iterative deepening over the budget ``k``.
+
+    The result's ``stats`` add up the search over every round it took.
+    """
     if omega not in POOL_BOUND_FACTOR:
         raise PreconditionError("fixed-parameter repair covers increase-only and general")
     triangles = _Triangles(g, omega)
+    stats = FptStats()
     for k in range(g.m + 1):
-        result = _fpt_solve(triangles, k)
+        result = _fpt_solve(triangles, k, stats)
         if result.found:
             return result
     raise AssertionError("full edge budget must admit a repair")
@@ -105,7 +111,7 @@ def fpt_min_repair(g: WeightedGraph, omega: OmegaClass) -> FptResult:
 def _fpt_at(g: WeightedGraph, k: int, omega: OmegaClass) -> FptResult:
     if k < 0:
         raise ValueError("budget k must be nonnegative")
-    return _fpt_solve(_Triangles(g, omega), k)
+    return _fpt_solve(_Triangles(g, omega), k, FptStats())
 
 
 class _Triangles:
@@ -150,9 +156,8 @@ class _Triangles:
         return room < 0
 
 
-def _fpt_solve(triangles: _Triangles, k: int) -> FptResult:
+def _fpt_solve(triangles: _Triangles, k: int, stats: FptStats) -> FptResult:
     g, omega = triangles.g, triangles.omega
-    stats = FptStats()
     if not triangles.masks:
         # A chordal graph without broken triangles is metric: any budget
         # admits the empty repair.

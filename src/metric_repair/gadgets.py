@@ -195,7 +195,7 @@ def metric_closure_weights(n: int, edges, rng: random.Random,
     lo, hi = weight_range
     raw = WeightedGraph(n, ((u, v, rng.randint(lo, hi)) for (u, v) in edges))
     d = apsp(raw)  # integer weights: distances are on scale 1
-    return raw.replace_weights({(u, v): d.row(u)[v] for (u, v) in raw.edges})
+    return raw.replace_weights({(u, v): d.edge(u, v) for (u, v) in raw.edges})
 
 
 def _plant_decreases(g: WeightedGraph, k: int, rng: random.Random):

@@ -24,6 +24,7 @@ cardinality enumeration is hopeless.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from itertools import combinations
 
 from .detect import broken_cycles, cover_masks, edge_bits, is_metric
@@ -105,7 +106,7 @@ def _acceptance_test(g: WeightedGraph, omega: OmegaClass, method: str):
         def accept_decrease(support: frozenset) -> RepairDelta | None:
             entries = {}
             for e in support:
-                dist = base.dist(*e)
+                dist = Fraction(base.edge(*e), base.scale)
                 if dist < weights[e]:
                     entries[e] = dist - weights[e]
             candidate = g.replace_weights(

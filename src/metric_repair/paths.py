@@ -19,6 +19,16 @@ predecessor: a strict improvement resets the parent, a tie keeps the smaller
 id.  This stays acyclic across zero-weight plateaus, and repeated runs return
 identical paths.  A row the dense engine filled gets its tree from one search
 the first time a path from that source is read.
+
+Callers that only ask whether each edge is a shortest path read ``edge(u,
+v)``.  Where no filled row exists it searches from ``u`` only as far as
+``u``'s heaviest edge to a larger id: the search settles every vertex within
+that distance and then stops, the source always included.  That bounded
+search is a prefix of the full one in ``(distance, id)`` pop order, and a
+vertex's distance and parent are fixed when it is popped, so every settled
+vertex -- each edge's far end among them, since ``d(u, v) <= w(u, v)`` --
+gets exactly the distance and canonical parent the full search gives it.
+``path(u, v)`` walks that bounded tree when it settled ``v``.
 """
 
 from __future__ import annotations
@@ -37,10 +47,12 @@ class ApspResult:
 
     ``scale`` and ``intw`` are the ``(scale, {edge: int})`` pair the distances
     were computed from.  A row the dense engine did not fill, and the tree of
-    any source, come from one search the first time either is read.
+    any source, come from one search the first time either is read; an edge
+    read on an unfilled row runs the bounded search (module docstring) once
+    per source instead.
     """
 
-    __slots__ = ("scale", "intw", "_rows", "_adj", "_parents")
+    __slots__ = ("scale", "intw", "_rows", "_adj", "_parents", "_near")
 
     def __init__(self, n: int, scale: int, intw: dict, rows: list | None = None):
         self.scale = scale
@@ -51,9 +63,25 @@ class ApspResult:
             self._adj[u].append((v, w))
             self._adj[v].append((u, w))
         self._parents: dict[int, tuple[int | None, ...]] = {}
+        self._near: dict[int, tuple[list[int | None], tuple[int | None, ...]]] = {}
 
     def _search(self, u: int) -> None:
-        self._rows[u], self._parents[u] = _dijkstra(self._adj, u)
+        self._rows[u], self._parents[u] = _dijkstra(self._adj, u, None)
+
+    def edge(self, u: int, v: int) -> int:
+        """Scaled distance between the ends of the edge ``(u, v)``, ``u < v``.
+
+        Reads a filled row; otherwise searches from ``u`` up to its heaviest
+        edge to a larger id, once per source.
+        """
+        row = self._rows[u]
+        if row is None:
+            near = self._near.get(u)
+            if near is None:
+                limit = max(w for x, w in self._adj[u] if x > u)
+                near = self._near[u] = _dijkstra(self._adj, u, limit)
+            row = near[0]
+        return row[v]
 
     def row(self, u: int) -> list[int | None]:
         """Scaled distances from ``u`` to every vertex (None when unreachable)."""
@@ -81,11 +109,15 @@ class ApspResult:
 
     def path(self, u: int, v: int) -> tuple[int, ...] | None:
         """One canonical shortest path from ``u`` to ``v`` (inclusive)."""
-        if self.row(u)[v] is None:
+        near = self._near.get(u)
+        if near is not None and near[0][v] is not None:
+            parents = near[1]  # the bounded search settled v: same tree
+        elif self.row(u)[v] is None:
             return None
-        if u == v:
+        elif u == v:
             return (u,)
-        parents = self.parents(u)
+        else:
+            parents = self.parents(u)
         out = [v]
         while out[-1] != u:
             prev = parents[out[-1]]
@@ -171,10 +203,13 @@ def _unreached_to_none(rows: list[list[int]], sentinel: int) -> list[list[int | 
 # -- sparse engine ----------------------------------------------------------
 
 
-def _dijkstra(adj: list[list[tuple[int, int]]],
-              source: int) -> tuple[list[int | None], tuple[int | None, ...]]:
+def _dijkstra(adj: list[list[tuple[int, int]]], source: int,
+              limit: int | None) -> tuple[list[int | None], tuple[int | None, ...]]:
     # Distances and the canonical tree (rule in the module docstring) at once.
     # Settled vertices are never relaxed again, so the source keeps no parent.
+    # A ``limit`` skips every improvement past it: only vertices within it get
+    # a distance, and one within it would have replaced a skipped value by a
+    # strictly smaller one (resetting its parent) anyway.
     dist: list[int | None] = [None] * len(adj)
     parent: list[int | None] = [None] * len(adj)
     done = [False] * len(adj)
@@ -192,6 +227,8 @@ def _dijkstra(adj: list[list[tuple[int, int]]],
             alt = du + w
             dv = dist[v]
             if dv is None or alt < dv:
+                if limit is not None and alt > limit:
+                    continue
                 dist[v] = alt
                 parent[v] = u
                 push(heap, (alt, v))

@@ -21,6 +21,33 @@ def random_graph(rng: random.Random, n: int, m: int,
     return WeightedGraph(n, ((u, v, rng.randint(lo, hi)) for (u, v) in pairs[:m]))
 
 
+def first_primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    out, candidate = [], 2
+    while len(out) < count:
+        if all(candidate % p for p in out if p * p <= candidate):
+            out.append(candidate)
+        candidate += 1
+    return out
+
+
+def tree_sweep_graphs():
+    """200 seeded graphs for shortest-path-tree checks.
+
+    n <= 12, weights from {0}, {0, 1}, 0-3, 1-9 and 0-10 (zero-weight
+    plateaus and ties), densities from empty to complete (disconnected
+    graphs included), and the last vertex sometimes isolated.
+    """
+    rng = random.Random(500)
+    for weights in ((0, 0), (0, 1), (0, 3), (1, 9), (0, 10)):
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            core = n - 1 if n > 1 and rng.random() < 0.3 else n
+            m = rng.randint(0, core * (core - 1) // 2)
+            g = random_graph(rng, core, m, weights)
+            yield WeightedGraph(n, ((u, v, g.weight(u, v)) for (u, v) in g.edges))
+
+
 def random_mixed_instance(seed: int, max_n: int = 6, max_m: int = 12,
                           weights=(0, 10)) -> WeightedGraph:
     """Sparse or complete random instance under the given size caps."""

@@ -15,6 +15,8 @@ import pytest
 from metric_repair.cli import main
 from metric_repair.fileio import parse_delta_tsv, parse_edge_list
 
+from conftest import first_primes
+
 
 def run_cli(args):
     return main(args)
@@ -332,3 +334,27 @@ def test_small_cli_runs_never_import_numpy(tmp_path, args):
     last = run.stdout.splitlines()[-1]
     assert last.startswith("numpy imported: False exit: "), (last, run.stderr)
     assert last.split()[-1] in ("0", "1")
+
+
+@pytest.mark.parametrize("algo, omega", [("dmr", "decrease"), ("spc", "increase")])
+def test_weights_past_the_print_limit_exit_two(tmp_path, capsys, algo, omega):
+    # 10^5000 cannot be printed as a Python int (4300 digits), so it is refused
+    # on input; 10^3000 repairs and prints.
+    inp, out = tmp_path / "g.txt", tmp_path / "d.tsv"
+    write(inp, "0 1 1e3000\n1 2 1\n0 2 1\n")
+    assert run_cli(["repair", str(inp), "--omega", omega, "--algo", algo,
+                    "--out", str(out)]) == 0
+    assert parse_delta_tsv(out.read_text(encoding="utf-8")).is_metric_after
+    capsys.readouterr()
+    write(inp, "0 1 1e5000\n1 2 1\n0 2 1\n")
+    assert run_cli(["repair", str(inp), "--omega", omega, "--algo", algo]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scale_past_the_cap_exits_two(tmp_path, capsys):
+    # 1/p weights over the first primes: the scale, their product, passes
+    # 2^12000 with the 1,057th prime.
+    inp = tmp_path / "g.txt"
+    write(inp, "".join(f"{i} {i + 1} 1/{p}\n" for i, p in enumerate(first_primes(1100))))
+    assert run_cli(["detect", str(inp)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -178,13 +178,14 @@ def test_verifier_matches_fraction_reference():
 
 def test_verifier_rejection_stops_at_first_moved_edge(monkeypatch):
     # The first edge in weight-map order, (0, 1), drops from 5 to 2 outside
-    # the support, so the Verifier needs the row of vertex 0 and nothing more.
+    # the support, so the Verifier needs one search from vertex 0 and nothing
+    # more.  The wrapper reads the source, ``_dijkstra``'s second argument.
     g = WeightedGraph(8, [(0, 1, 5), (0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
                           (4, 5, 1), (5, 6, 1), (6, 7, 1)])
     searches = []
     real = paths._dijkstra
     monkeypatch.setattr(paths, "_dijkstra",
-                        lambda *args: searches.append(args[-1]) or real(*args))
+                        lambda *args: searches.append(args[1]) or real(*args))
     out = verify_support(g, [(6, 7)], OmegaClass.GENERAL)
     assert out.reason is RejectionReason.CHANGED_OUTSIDE_SUPPORT
     assert searches == [0]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from metric_repair import InputFormatError, OmegaClass, RepairDelta
+from metric_repair import InputFormatError, OmegaClass, RepairDelta, WeightedGraph
 from metric_repair.fileio import (
     DeltaDocument,
     format_exact,
@@ -22,6 +22,8 @@ from metric_repair.fileio import (
     serialize_edge_list,
     serialize_matrix_csv,
 )
+
+from conftest import first_primes
 
 
 def test_format_exact_decimals_and_fractions():
@@ -203,3 +205,48 @@ def test_support_file_parsing():
     assert parse_support_file("0 1\n# c\n2 3\n") == ((0, 1), (2, 3))
     with pytest.raises(InputFormatError):
         parse_support_file("0\n")
+
+
+@pytest.mark.parametrize("token, accepted", [
+    ("1e4300", True), ("1e-4300", True), ("1E+4300", True), ("0.5e4_300", True),
+    ("1e4301", False), ("1e-4301", False), ("2.5E+4301", False), ("1e1000000", False),
+    ("1e" + "0" * 5000 + "1", False),
+])
+def test_parse_exact_bounds_the_decimal_exponent(token, accepted):
+    # Fraction would expand 10**exponent; past 4300 digits Python cannot print it.
+    if accepted:
+        assert parse_exact(token) == Fraction(token)
+    else:
+        with pytest.raises(InputFormatError):
+            parse_exact(token)
+
+
+def test_parsed_graph_scale_and_scaled_weights_stay_below_2_to_12000():
+    assert parse_edge_list(f"0 1 {2 ** 12000 - 1}\n").integer_form()[1] == \
+        {(0, 1): 2 ** 12000 - 1}
+    with pytest.raises(InputFormatError):
+        parse_edge_list(f"0 1 {2 ** 12000}\n")
+    with pytest.raises(InputFormatError):
+        parse_matrix_csv(f"0,{2 ** 12000}\n{2 ** 12000},0\n")
+    with pytest.raises(InputFormatError):
+        parse_edge_list("0 1 1e4000\n")  # a legal exponent, but 10^4000 > 2^12000
+    # Weights 1/p on a path: the scale is the product of the primes.
+    primes = first_primes(1100)
+    product, k = 1, 0
+    while (product * primes[k]).bit_length() <= 12000:
+        product *= primes[k]
+        k += 1
+    under = "".join(f"{i} {i + 1} 1/{p}\n" for i, p in enumerate(primes[:k]))
+    assert parse_edge_list(under).integer_form()[0] == product
+    over = under + f"{k} {k + 1} 1/{primes[k]}\n"
+    with pytest.raises(InputFormatError):
+        parse_edge_list(over)
+    # Two large coprime denominators: the scale passes the cap while every
+    # scaled weight (the other denominator) stays far below it.
+    assert (2 ** 5990 * 3 ** 3787).bit_length() <= 12000 < (2 ** 6001 * 3 ** 3787).bit_length()
+    assert parse_edge_list(f"0 1 1/{2 ** 5990}\n1 2 1/{3 ** 3787}\n").integer_form()[0] == \
+        2 ** 5990 * 3 ** 3787
+    with pytest.raises(InputFormatError):
+        parse_edge_list(f"0 1 1/{2 ** 6001}\n1 2 1/{3 ** 3787}\n")
+    # Library graphs are not checked.
+    WeightedGraph(2, [(0, 1, 2 ** 12000)])

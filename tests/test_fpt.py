@@ -23,6 +23,7 @@ from metric_repair import (
     is_metric,
     verify_support,
 )
+from metric_repair import fpt
 from metric_repair.detect import broken_triangles, cover_masks
 from metric_repair.fpt import POOL_BOUND_FACTOR, _select
 from metric_repair.gadgets import base_graph_edges, planted_chordal, suspension
@@ -231,3 +232,26 @@ def test_support_missing_a_triangle_mask_is_rejected(seed, n, increase, data):
     allowed = [e for i, e in enumerate(g.edges) if not missed >> i & 1]
     support = data.draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
     assert not verify_support(g, support, omega).accepted
+
+
+@pytest.mark.parametrize("omega", BOTH_MODES)
+def test_min_repair_stats_add_up_every_round(monkeypatch, omega):
+    # Wrappers count the Verifier calls and search nodes of the whole call;
+    # the rounds below the optimum 4 enter nodes that the bound cuts.
+    counts = {"verify": 0, "nodes": 0}
+    real_verify, real_cover = fpt.verify_support, fpt._Search.cover
+
+    def verify(*args):
+        counts["verify"] += 1
+        return real_verify(*args)
+
+    def cover(self, *args):
+        counts["nodes"] += 1
+        return real_cover(self, *args)
+
+    monkeypatch.setattr(fpt, "verify_support", verify)
+    monkeypatch.setattr(fpt._Search, "cover", cover)
+    result = fpt_min_repair(suspension(8, base_graph_edges("path", 8)), omega)
+    assert result.budget == 4
+    assert result.stats.leaves == counts["verify"] == 1
+    assert result.stats.nodes == counts["nodes"]

@@ -8,7 +8,7 @@ from fractions import Fraction
 from metric_repair import WeightedGraph, apsp, paths
 from metric_repair.paths import ApspResult, _dense_int_numpy, _dense_int_python
 
-from conftest import all_simple_path_dist, canonical_parents, random_graph
+from conftest import all_simple_path_dist, canonical_parents, random_graph, tree_sweep_graphs
 
 
 def _sentinel(g: WeightedGraph) -> int:
@@ -178,19 +178,6 @@ def test_path_reconstruction_is_deterministic():
                 assert dense.path(u, v) == rebuilt.path(u, v) == searched.path(u, v)
 
 
-def _tree_sweep_graphs():
-    # n <= 12, weights from {0}, {0, 1}, 0-3, 1-9 and 0-10, densities from
-    # empty to complete, and the last vertex sometimes isolated.
-    rng = random.Random(500)
-    for weights in ((0, 0), (0, 1), (0, 3), (1, 9), (0, 10)):
-        for _ in range(40):
-            n = rng.randint(1, 12)
-            core = n - 1 if n > 1 and rng.random() < 0.3 else n
-            m = rng.randint(0, core * (core - 1) // 2)
-            g = random_graph(rng, core, m, weights)
-            yield WeightedGraph(n, ((u, v, g.weight(u, v)) for (u, v) in g.edges))
-
-
 def _numpy_dense(g: WeightedGraph) -> ApspResult:
     scale, intw = g.integer_form()
     return ApspResult(g.n, scale, intw, _dense_int_numpy(g.n, intw, _sentinel(g)))
@@ -208,7 +195,7 @@ def test_search_trees_match_canonical_reference():
     # for every source, on rows the Python dense kernel filled, on lazily
     # searched rows and through apsp's automatic choice.
     count = 0
-    for g in _tree_sweep_graphs():
+    for g in tree_sweep_graphs():
         for result in (_python_dense(g), _searched(g), apsp(g)):
             _assert_canonical_trees(result)
         count += 1
