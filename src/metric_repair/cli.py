@@ -35,6 +35,7 @@ from .graphs import (
     PreconditionError,
     WeightedGraph,
     apply_delta,
+    clipped,
 )
 from .runner import ALGORITHMS, NoSolutionError, run_algo
 
@@ -171,7 +172,8 @@ def cmd_verify(args) -> int:
     support = parse_support_file(_read_text(args.support))
     for u, v in support:
         if not graph.has_edge(u, v):
-            raise InputFormatError(f"support edge ({u},{v}) is not in the graph")
+            raise InputFormatError(
+                f"support edge ({clipped(u)},{clipped(v)}) is not in the graph")
     outcome = verify_support(graph, support, OmegaClass.parse(args.omega))
     if outcome.accepted:
         print("Accepted")

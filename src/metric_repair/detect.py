@@ -10,6 +10,9 @@ Broken-cycle tests run on the graph's stored scaled integer weights
 (``WeightedGraph.integer_form``): multiplying every weight by the same
 positive scale leaves ``2 * w(top) > w(cycle)`` unchanged, and Python ints
 are exact at any size, so the test stays exact without touching a Fraction.
+``_top_edge`` is that predicate for any cycle; the triangle scan uses its
+three-term form, comparing each triangle's three scaled integers in place and
+building edge tuples and a witness only for the triangles that break.
 """
 
 from __future__ import annotations
@@ -51,17 +54,32 @@ def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
 
 def broken_triangles(g: WeightedGraph) -> tuple[BrokenCycleWitness, ...]:
     """All broken 3-cycles, each with its top edge, in deterministic order."""
+    return tuple(BrokenCycleWitness(cycle=(u, v, x), top_edge=top)
+                 for u, v, x, top in _broken_triangle_tops(g))
+
+
+def _broken_triangle_tops(g: WeightedGraph) -> Iterator[tuple[int, int, int, tuple[int, int]]]:
+    """``(u, v, x, top)`` for every broken triangle ``u < v < x``, in lexicographic order.
+
+    The three-term form of ``_top_edge``: with nonnegative weights, ``2 * max >
+    sum`` holds exactly when one weight exceeds the sum of the other two.
+    """
     _, intw = g.integer_form()
-    adjacent = [set(g.neighbors(v)) for v in range(g.n)]
-    out = []
+    up: list[dict[int, int]] = [{} for _ in range(g.n)]  # up[u][v] = w(u, v) for v > u
     for (u, v) in g.edges:
-        for x in g.neighbors(v):
-            if x <= v or x not in adjacent[u]:
-                continue  # count each triangle once via its two smallest vertices
-            top = _top_edge(intw, ((u, v), (u, x), (v, x)))
-            if top is not None:
-                out.append(BrokenCycleWitness(cycle=(u, v, x), top_edge=top))
-    return tuple(out)
+        up[u][v] = intw[(u, v)]
+    for u, up_u in enumerate(up):
+        for v, a in up_u.items():
+            for x, c in up[v].items():
+                b = up_u.get(x)
+                if b is None:
+                    continue
+                if a > b + c:
+                    yield u, v, x, (u, v)
+                elif b > a + c:
+                    yield u, v, x, (u, x)
+                elif c > a + b:
+                    yield u, v, x, (v, x)
 
 
 def cycle_top_edge(g: WeightedGraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
@@ -171,7 +189,7 @@ def longest_broken_cycle_len(g: WeightedGraph, budget: int) -> int | None:
 def instance_stats(g: WeightedGraph, cycle_budget: int | None = None) -> InstanceStats:
     """Summary facts; the longest-cycle scan runs only within ``cycle_budget``."""
     metric = is_metric(g)
-    tri = len(broken_triangles(g))
+    tri = sum(1 for _ in _broken_triangle_tops(g))
     if cycle_budget is not None and g.n <= cycle_budget:
         return InstanceStats(
             is_metric=metric,

@@ -12,6 +12,11 @@ before it is expanded, and a parsed graph whose scale or largest scaled
 weight reaches ``2**12000`` (3613 digits) is refused too.  That leaves room
 for the distance sums and deltas the solvers print.  Both are
 ``InputFormatError``; graphs built in library code are not checked.
+
+Work and messages stay bounded by the file as well: an edge list may not
+name a vertex id of ``MAX_VERTICES`` or more (the vertex count follows the
+largest id, not the file size), and every error message quotes input
+through ``graphs.clipped``, at most ``graphs.MAX_ECHO`` characters of each value.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from .graphs import (
     OmegaClass,
     RepairDelta,
     WeightedGraph,
+    clipped,
     edge_key,
 )
 
 MAX_EXPONENT = 4300
 MAX_SCALED_BITS = 12000
+MAX_VERTICES = 100_000
 
 
 def parse_exact(token: str) -> int | Fraction:
@@ -47,7 +54,7 @@ def parse_exact(token: str) -> int | Fraction:
             raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"bad number {token!r}: {exc}") from None
+        raise InputFormatError(f"bad number {clipped(token)!r}: {clipped(exc)}") from None
 
 
 def format_exact(value: int | Fraction) -> str:
@@ -78,7 +85,8 @@ def format_exact(value: int | Fraction) -> str:
 def parse_edge_list(text: str) -> WeightedGraph:
     """Lines of ``u v w``; '#' starts a comment, blank lines are skipped.
 
-    Vertex ids are 0-based; the vertex count is one past the largest id seen.
+    Vertex ids are 0-based and below ``MAX_VERTICES``; the vertex count is
+    one past the largest id seen.
     """
     edges = []
     seen = set()
@@ -88,13 +96,16 @@ def parse_edge_list(text: str) -> WeightedGraph:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise InputFormatError(f"line {lineno}: expected 'u v w', got {raw!r}")
+            raise InputFormatError(f"line {lineno}: expected 'u v w', got {clipped(raw)!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: vertex ids must be integers") from None
         if u < 0 or v < 0:
             raise InputFormatError(f"line {lineno}: vertex ids must be nonnegative")
+        if max(u, v) >= MAX_VERTICES:
+            raise InputFormatError(
+                f"line {lineno}: vertex id {clipped(max(u, v))} is not below {MAX_VERTICES}")
         if u == v:
             raise InputFormatError(f"line {lineno}: self-loop {u}")
         key = edge_key(u, v)
@@ -103,7 +114,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
         seen.add(key)
         w = parse_exact(parts[2])
         if w < 0:
-            raise InputFormatError(f"line {lineno}: negative weight {parts[2]}")
+            raise InputFormatError(f"line {lineno}: negative weight {clipped(parts[2])}")
         edges.append((u, v, w))
     n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
     return _printable(WeightedGraph(n, edges))
@@ -140,8 +151,10 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
     be symmetric.  Missing cells make the graph non-complete, which is how
     partial distance information enters the solvers.
     """
-    reader = csv.reader(io.StringIO(text))
-    cells = [row for row in reader if row]
+    try:
+        cells = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+        raise InputFormatError(f"bad CSV: {exc}") from None
     n = len(cells)
     parsed: list[list[int | Fraction | None]] = []
     for i, row in enumerate(cells):
@@ -155,7 +168,7 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
                 continue
             value = parse_exact(token)
             if value < 0:
-                raise InputFormatError(f"cell ({i},{j}): negative entry {token}")
+                raise InputFormatError(f"cell ({i},{j}): negative entry {clipped(token)}")
             out_row.append(value)
         parsed.append(out_row)
     for i in range(n):
@@ -228,7 +241,8 @@ def parse_delta_tsv(text: str) -> DeltaDocument:
 def _add_delta_entry(entries: dict, u: int, v: int, value, where: str) -> None:
     """Record one parsed delta entry; a negative id or a repeated pair is an error."""
     if min(u, v) < 0 or (u, v) in entries or (v, u) in entries:
-        raise InputFormatError(f"{where}: negative vertex id or repeated pair ({u},{v})")
+        raise InputFormatError(
+            f"{where}: negative vertex id or repeated pair ({clipped(u)},{clipped(v)})")
     entries[(u, v)] = value
 
 

@@ -42,6 +42,16 @@ class EnumerationBudgetError(PreconditionError):
     """An exponential enumeration guard refused to run at this size."""
 
 
+MAX_ECHO = 40
+
+
+def clipped(value: object) -> str:
+    """``str(value)`` for an error message: past ``MAX_ECHO`` characters, the
+    first ``MAX_ECHO`` of them and the full length, so input echoes stay short."""
+    text = str(value)
+    return text if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]}... ({len(text)} chars)"
+
+
 def as_weight(value: WeightLike) -> Fraction:
     """Coerce ``value`` to an exact nonnegative rational weight.
 
@@ -101,7 +111,7 @@ class OmegaClass(Enum):
         for member in cls:
             if member.value == token:
                 return member
-        raise ValueError(f"unknown omega class {token!r}; expected one of "
+        raise ValueError(f"unknown omega class {clipped(token)!r}; expected one of "
                          f"{[m.value for m in cls]}")
 
 
@@ -262,7 +272,8 @@ class RepairDelta:
             if value == 0:
                 continue
             if not omega.allows(value):
-                raise ValueError(f"delta {value} on {key} violates sign class {omega.value}")
+                raise ValueError(
+                    f"delta {clipped(value)} on {clipped(key)} violates sign class {omega.value}")
             normalized[key] = value
         self._entries = dict(sorted(normalized.items()))
         self.omega = omega

@@ -358,3 +358,34 @@ def test_scale_past_the_cap_exits_two(tmp_path, capsys):
     write(inp, "".join(f"{i} {i + 1} 1/{p}\n" for i, p in enumerate(first_primes(1100))))
     assert run_cli(["detect", str(inp)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, graph, support", [
+    ("g.txt", f"0 1 1e{'0' * 200_000}1\n", None),
+    ("g.txt", f"0 1 1\n1 2 -{'1' * 4000}\n", None),
+    ("g.txt", f"0 1 1\n1 {'1' * 4000} 1\n", None),
+    ("g.csv", f"0,{'9' * 200_000}\n{'9' * 200_000},0\n", None),
+    ("g.txt", METRIC_TEXT, f"0 {'1' * 4000}\n"),
+], ids=["long-token", "long-negative", "long-id", "csv-field-limit", "support-id"])
+def test_bad_input_errors_stay_short(tmp_path, capsys, name, graph, support):
+    inp, sup = tmp_path / name, tmp_path / "s.txt"
+    write(inp, graph)
+    args = ["detect", str(inp)]
+    if support is not None:
+        write(sup, support)
+        args = ["verify", str(inp), "--support", str(sup), "--omega", "general"]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode()) < 1024, err[:200]
+
+
+def test_vertex_ids_at_the_cap_exit_two(tmp_path, capsys):
+    from metric_repair.fileio import MAX_VERTICES
+
+    inp = tmp_path / "g.txt"
+    write(inp, f"0 1 1\n1 {MAX_VERTICES - 1} 1\n")
+    assert run_cli(["detect", str(inp)]) == 0
+    assert "is_metric: true" in capsys.readouterr().out
+    write(inp, f"0 1 1\n1 {MAX_VERTICES} 1\n")
+    assert run_cli(["detect", str(inp)]) == 2
+    assert f"not below {MAX_VERTICES}" in capsys.readouterr().err

@@ -18,8 +18,9 @@ from metric_repair import (
     longest_broken_cycle_len,
     simple_cycles,
 )
+from metric_repair import detect
 from metric_repair.detect import cycle_top_edge
-from metric_repair.gadgets import random_chordal_edges
+from metric_repair.gadgets import planted_complete, random_chordal_edges
 from metric_repair.graphs import edge_key
 
 from conftest import (
@@ -27,6 +28,7 @@ from conftest import (
     enumerate_cycles_by_permutation,
     is_metric_brute,
     random_graph,
+    tree_sweep_graphs,
 )
 
 
@@ -186,6 +188,76 @@ def test_broken_triangles_equal_fraction_definition():
         assert got == fraction_triangles(g)
         broken += len(got)
     assert broken >= 50  # the sweep exercised broken triangles, not only metric ones
+
+
+# -- the three-int triangle scan against the general cycle predicate -----------
+
+
+def reference_broken_triangles(g):
+    """The edge-walk scan written with ``_top_edge``, the general cycle predicate."""
+    _, intw = g.integer_form()
+    adjacent = [set(g.neighbors(v)) for v in range(g.n)]
+    out = []
+    for (u, v) in g.edges:
+        for x in g.neighbors(v):
+            if x <= v or x not in adjacent[u]:
+                continue
+            top = detect._top_edge(intw, ((u, v), (u, x), (v, x)))
+            if top is not None:
+                out.append(((u, v, x), top))
+    return out
+
+
+def straddling_complete_graph(seed, n):
+    """Complete graph with integer weights just below, at and above 2^61 and 2^62,
+    so sums pass 2^63 and triangles sit exactly on or one unit off the tie."""
+    rng = random.Random(seed)
+    levels = [base + d for base in (2 ** 61, 2 ** 62) for d in (-1, 0, 1)]
+    return WeightedGraph(n, ((u, v, rng.choice(levels))
+                             for (u, v) in combinations(range(n), 2)))
+
+
+def triangle_scan_graphs():
+    yield from tree_sweep_graphs()
+    yield from equivalence_graphs()
+    for n, k, seed in ((40, 1, 1), (40, 5, 2), (60, 3, 3)):
+        yield planted_complete(n, k, seed=seed).instance.to_graph()
+    for seed in range(3):
+        yield straddling_complete_graph(seed, 12)
+
+
+def test_broken_triangles_equal_top_edge_scan():
+    broken = 0
+    for g in triangle_scan_graphs():
+        got = [(t.cycle, t.top_edge) for t in broken_triangles(g)]
+        assert got == reference_broken_triangles(g)
+        assert instance_stats(g).broken_triangle_count == len(got)
+        broken += len(got)
+    assert broken >= 500
+
+
+def test_straddling_weights_break_only_past_the_tie():
+    big = 2 ** 62
+    tie = WeightedGraph(3, [(0, 1, big), (0, 2, big // 2), (1, 2, big // 2)])
+    assert broken_triangles(tie) == ()
+    (w,) = broken_triangles(tie.replace_weights({(0, 1): big + 1}))
+    assert w.top_edge == (0, 1)
+    (w,) = broken_triangles(tie.replace_weights({(1, 2): 2 * big + 1}))
+    assert w.top_edge == (1, 2)
+    assert all(0 < len(broken_triangles(straddling_complete_graph(seed, 12))) < 220
+               for seed in range(3))  # some triangles break, some tie or hold
+
+
+def test_triangle_count_builds_no_witness(monkeypatch):
+    g = planted_complete(40, 5, seed=2).instance.to_graph()
+    expected = len(broken_triangles(g))
+    assert expected > 0
+
+    def refuse(**_):
+        raise AssertionError("instance_stats built a witness")
+
+    monkeypatch.setattr(detect, "BrokenCycleWitness", refuse)
+    assert instance_stats(g).broken_triangle_count == expected
 
 
 def test_cycle_top_edge_equals_fraction_definition():

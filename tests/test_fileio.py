@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from metric_repair import InputFormatError, OmegaClass, RepairDelta, WeightedGraph
 from metric_repair.fileio import (
+    MAX_VERTICES,
     DeltaDocument,
     format_exact,
     parse_delta_json,
@@ -250,3 +252,41 @@ def test_parsed_graph_scale_and_scaled_weights_stay_below_2_to_12000():
         parse_edge_list(f"0 1 1/{2 ** 6001}\n1 2 1/{3 ** 3787}\n")
     # Library graphs are not checked.
     WeightedGraph(2, [(0, 1, 2 ** 12000)])
+
+
+def test_edge_list_vertex_ids_stay_below_the_cap():
+    # The vertex count follows the largest id, so a two-line file could
+    # otherwise ask for any number of vertices.
+    g = parse_edge_list(f"0 1 1\n1 {MAX_VERTICES - 1} 1\n")
+    assert (g.n, g.m) == (MAX_VERTICES, 2)
+    for u, v in ((1, MAX_VERTICES), (MAX_VERTICES, 1), (0, 10 ** 4000)):
+        with pytest.raises(InputFormatError, match=f"not below {MAX_VERTICES}"):
+            parse_edge_list(f"0 1 1\n{u} {v} 1\n")
+
+
+LONG = "9" * 100_000  # under the csv module's 131,072-character field limit
+NEGATIVE = "-" + "1" * 4000  # parses: 4000 digits are under Python's int limit
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_edge_list, f"0 1 1e{'0' * 200_000}1\n"),
+    (parse_edge_list, f"0 1 {NEGATIVE}\n"),
+    (parse_edge_list, f"0 1 2 {LONG}\n"),
+    (parse_edge_list, f"0 1 x{LONG}\n"),
+    (parse_edge_list, f"0 1 1/{'0' * 4000}\n"),
+    (parse_matrix_csv, f"0,{NEGATIVE}\n{NEGATIVE},0\n"),
+    (parse_matrix_csv, f"0,{LONG}e\n{LONG}e,0\n"),
+    (parse_matrix_csv, f"0,{LONG * 2}\n{LONG * 2},0\n"),
+    (parse_delta_tsv, f"0\t1\t1\n# omega={LONG}\n"),
+    (parse_delta_tsv, f"{'1' * 4000}\t1\t1\n1\t{'1' * 4000}\t1\n# omega=general\n"),
+    (parse_delta_tsv, f"0\t1\t{NEGATIVE}\n# omega=increase\n"),
+    (parse_delta_json, json.dumps({"omega": LONG, "entries": [], "is_metric_after": True})),
+    (parse_delta_json, json.dumps({"omega": "general", "is_metric_after": True, "entries": [
+        {"u": int(NEGATIVE), "v": 1, "delta": "1"}]})),
+], ids=["exponent", "negative", "fields", "token", "zero-den", "matrix-negative",
+        "matrix-token", "matrix-field-limit", "tsv-omega", "tsv-ids", "tsv-sign",
+        "json-omega", "json-pair"])
+def test_error_messages_clip_echoed_input(parse, text):
+    with pytest.raises(InputFormatError) as info:
+        parse(text)
+    assert len(str(info.value)) < 300, str(info.value)
