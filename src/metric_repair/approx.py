@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .detect import _top_edge
 from .exact import verify_support, VerifierOutcome
 from .graphs import (
     DistanceMatrix,
@@ -32,6 +31,7 @@ from .graphs import (
     OmegaClass,
     RepairDelta,
     WeightedGraph,
+    _top_edge,
     edge_key,
 )
 from .paths import _INT64_SAFE, _scaled_apsp

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .detect import longest_broken_cycle_len
 from .graphs import DistanceMatrix, OmegaClass, WeightedGraph
 from .oracle import DEFAULT_EDGE_LIMIT, brute_force_opt, minimum_cycle_cover
 from .gadgets import (
@@ -75,16 +74,13 @@ def _row(label: str, kind: str, instance, omega: OmegaClass, algo: str,
          opt: int | None = None, with_l: bool = False) -> BenchRow:
     # Matrix-sweep rows count repaired matrix cells (two per pair), matching
     # the symmetric-matrix reading; everything else counts edges.
-    report = run_algo(instance, omega, algo)
+    report = run_algo(instance, omega, algo,
+                      exact_cycle_budget=_EXACT_L_MAX_N if with_l else None)
     if not report.valid:
         raise AssertionError(f"{algo} produced an invalid repair on {label}")
     size = report.repaired_cells if algo == "iomr" else report.support_size
-    graph = instance.to_graph() if isinstance(instance, DistanceMatrix) else instance
-    longest = None
-    if with_l and graph.n <= _EXACT_L_MAX_N:
-        length = longest_broken_cycle_len(graph, _EXACT_L_MAX_N)
-        if length is not None:
-            longest = length - 1
+    length = report.longest_broken_cycle
+    longest = None if length is None else length - 1
     return BenchRow(
         instance=label, kind=kind, n=report.n, m=report.m, algo=algo,
         omega=omega.value, support_size=size, opt=opt,

@@ -12,6 +12,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench as bench_mod
@@ -47,20 +48,44 @@ EXIT_PRECONDITION = 3
 DEFAULT_CYCLE_BUDGET = 9
 
 
+class _StdoutGuard:
+    """``sys.stdout`` while a command runs.  Once the reader closes the pipe
+    (``detect FILE | head -2``), the real stdout is pointed at ``os.devnull``:
+    the command finishes quietly, returns its own exit code, and the flush of
+    the leftover buffer at exit cannot raise again."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> None:
+        self._guarded(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._guarded(self.stream.flush)
+
+    def _guarded(self, call, *args) -> None:
+        try:
+            call(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self.stream.fileno())
+            os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    guard = sys.stdout = _StdoutGuard(sys.stdout)
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, PreconditionError, NoSolutionError, SupportRejectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (NoSolutionError, SupportRejectedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
+        return (EXIT_BAD_INPUT if isinstance(exc, InputFormatError)
+                else EXIT_PRECONDITION if isinstance(exc, PreconditionError)
+                else EXIT_NO_SOLUTION)
+    finally:
+        guard.flush()
+        sys.stdout = guard.stream
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,29 +162,21 @@ def _load_graph(path: str, fmt: str) -> WeightedGraph:
 
 def cmd_repair(args) -> int:
     graph = _load_graph(args.input, args.input_format)
-    budget = DEFAULT_CYCLE_BUDGET if args.exact_l else None
     report = run_algo(graph, OmegaClass.parse(args.omega), args.algo,
-                      exact_cycle_budget=budget)
-    doc = DeltaDocument(delta=report.delta,
-                        is_metric_after=report.valid)
+                      exact_cycle_budget=DEFAULT_CYCLE_BUDGET if args.exact_l else None)
+    doc = DeltaDocument(delta=report.delta, is_metric_after=report.valid)
     rendered = (serialize_delta_json(doc) if args.format == "json"
                 else serialize_delta_tsv(doc))
 
-    summary_stream = sys.stdout if args.out else sys.stderr
-    print(f"n: {report.n}", file=summary_stream)
-    print(f"m: {report.m}", file=summary_stream)
-    print(f"support_size: {report.support_size}", file=summary_stream)
-    print(f"iterations: {report.iterations if report.iterations is not None else 'n/a'}",
-          file=summary_stream)
-    print(f"time_ms: {report.time_ms:.3f}", file=summary_stream)
+    summary = [f"n: {report.n}", f"m: {report.m}", f"support_size: {report.support_size}",
+               f"iterations: {'n/a' if report.iterations is None else report.iterations}",
+               f"time_ms: {report.time_ms:.3f}"]
     if args.exact_l:
-        if report.longest_broken_cycle is not None:
-            print(f"longest_broken_cycle: {report.longest_broken_cycle}",
-                  file=summary_stream)
-        else:
-            print("longest_broken_cycle: "
-                  + ("none" if graph.n <= DEFAULT_CYCLE_BUDGET else "not computed"),
-                  file=summary_stream)
+        longest = report.longest_broken_cycle
+        if longest is None:
+            longest = "none" if graph.n <= DEFAULT_CYCLE_BUDGET else "not computed"
+        summary.append(f"longest_broken_cycle: {longest}")
+    print("\n".join(summary), file=sys.stdout if args.out else sys.stderr)
     if args.out:
         _write_text(args.out, rendered)
     else:
@@ -187,18 +204,15 @@ def cmd_verify(args) -> int:
 
 def cmd_detect(args) -> int:
     graph = _load_graph(args.input, args.input_format)
-    metric = is_metric(graph)
-    print(f"is_metric: {str(metric).lower()}")
-    if not args.triangles_only:
-        witness = find_broken_witness(graph)
-        if witness is not None:
-            cyc = "-".join(map(str, witness.cycle))
-            print(f"broken_cycle: {cyc} top={witness.top_edge}")
+    witness = find_broken_witness(graph)
+    print(f"is_metric: {str(witness is None).lower()}")
+    if witness is not None and not args.triangles_only:
+        cyc = "-".join(map(str, witness.cycle))
+        print(f"broken_cycle: {cyc} top={witness.top_edge}")
     triangles = broken_triangles(graph)
     print(f"broken_triangles: {len(triangles)}")
-    for t in triangles:
-        print(f"triangle: {t.cycle} top={t.top_edge}")
-    return EXIT_OK if metric else EXIT_NO_SOLUTION
+    sys.stdout.write("".join(f"triangle: {t.cycle} top={t.top_edge}\n" for t in triangles))
+    return EXIT_OK if witness is None else EXIT_NO_SOLUTION
 
 
 def cmd_gen(args) -> int:
@@ -223,9 +237,7 @@ def cmd_gen(args) -> int:
     if isinstance(instance, DistanceMatrix):
         rendered = serialize_matrix_csv(instance.to_graph())
     else:
-        header = [f"# kind: {args.kind}"]
-        for key in sorted(params):
-            header.append(f"# {key}: {params[key]}")
+        header = [f"# kind: {args.kind}"] + [f"# {key}: {params[key]}" for key in sorted(params)]
         if result.planted_support is not None:
             header.append(f"# planted_support_size: {len(result.planted_support)}")
         rendered = "\n".join(header) + "\n" + serialize_edge_list(instance)

@@ -10,14 +10,16 @@ Broken-cycle tests run on the graph's stored scaled integer weights
 (``WeightedGraph.integer_form``): multiplying every weight by the same
 positive scale leaves ``2 * w(top) > w(cycle)`` unchanged, and Python ints
 are exact at any size, so the test stays exact without touching a Fraction.
-``_top_edge`` is that predicate for any cycle; the triangle scan uses its
+That predicate is defined once, as ``graphs._top_edge``, which
+``BrokenCycleWitness.check`` calls too; ``broken_triangles`` uses its
 three-term form, comparing each triangle's three scaled integers in place and
-building edge tuples and a witness only for the triangles that break.
+building a witness only for the triangles that break.  ``is_metric`` is
+``find_broken_witness(g) is None``, so there is one edge walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 from .graphs import (
     BrokenCycleWitness,
@@ -25,6 +27,7 @@ from .graphs import (
     InstanceStats,
     OmegaClass,
     WeightedGraph,
+    _top_edge,
     edge_key,
 )
 from .paths import apsp
@@ -32,8 +35,7 @@ from .paths import apsp
 
 def is_metric(g: WeightedGraph) -> bool:
     """True iff every edge weight equals the distance between its endpoints."""
-    d = apsp(g)
-    return all(d.edge(u, v) == w for (u, v), w in d.intw.items())
+    return find_broken_witness(g) is None
 
 
 def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
@@ -53,13 +55,7 @@ def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
 
 
 def broken_triangles(g: WeightedGraph) -> tuple[BrokenCycleWitness, ...]:
-    """All broken 3-cycles, each with its top edge, in deterministic order."""
-    return tuple(BrokenCycleWitness(cycle=(u, v, x), top_edge=top)
-                 for u, v, x, top in _broken_triangle_tops(g))
-
-
-def _broken_triangle_tops(g: WeightedGraph) -> Iterator[tuple[int, int, int, tuple[int, int]]]:
-    """``(u, v, x, top)`` for every broken triangle ``u < v < x``, in lexicographic order.
+    """All broken 3-cycles ``u < v < x``, each with its top edge, in lexicographic order.
 
     The three-term form of ``_top_edge``: with nonnegative weights, ``2 * max >
     sum`` holds exactly when one weight exceeds the sum of the other two.
@@ -68,6 +64,7 @@ def _broken_triangle_tops(g: WeightedGraph) -> Iterator[tuple[int, int, int, tup
     up: list[dict[int, int]] = [{} for _ in range(g.n)]  # up[u][v] = w(u, v) for v > u
     for (u, v) in g.edges:
         up[u][v] = intw[(u, v)]
+    found = []
     for u, up_u in enumerate(up):
         for v, a in up_u.items():
             for x, c in up[v].items():
@@ -75,11 +72,12 @@ def _broken_triangle_tops(g: WeightedGraph) -> Iterator[tuple[int, int, int, tup
                 if b is None:
                     continue
                 if a > b + c:
-                    yield u, v, x, (u, v)
+                    found.append(BrokenCycleWitness((u, v, x), (u, v)))
                 elif b > a + c:
-                    yield u, v, x, (u, x)
+                    found.append(BrokenCycleWitness((u, v, x), (u, x)))
                 elif c > a + b:
-                    yield u, v, x, (v, x)
+                    found.append(BrokenCycleWitness((u, v, x), (v, x)))
+    return tuple(found)
 
 
 def cycle_top_edge(g: WeightedGraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
@@ -91,19 +89,6 @@ def cycle_top_edge(g: WeightedGraph, cycle: tuple[int, ...]) -> tuple[int, int] 
     m = len(cycle)
     return _top_edge(g.integer_form()[1],
                      [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)])
-
-
-def _top_edge(intw: Mapping[tuple[int, int], int],
-              edges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
-    """Top edge of the cycle ``edges`` under scaled integer weights, or None.
-
-    Only the heaviest edge can outweigh all the others together.
-    """
-    weights = [intw[e] for e in edges]
-    heaviest = max(weights)
-    if 2 * heaviest > sum(weights):
-        return edges[weights.index(heaviest)]
-    return None
 
 
 def edge_bits(g: WeightedGraph) -> dict[tuple[int, int], int]:
@@ -179,22 +164,15 @@ def longest_broken_cycle_len(g: WeightedGraph, budget: int) -> int | None:
     if g.n > budget:
         raise EnumerationBudgetError(
             f"cycle enumeration needs n <= {budget}, got n = {g.n}")
-    longest = None
-    for witness in broken_cycles(g):
-        if longest is None or len(witness.cycle) > longest:
-            longest = len(witness.cycle)
-    return longest
+    return max((len(witness.cycle) for witness in broken_cycles(g)), default=None)
 
 
 def instance_stats(g: WeightedGraph, cycle_budget: int | None = None) -> InstanceStats:
     """Summary facts; the longest-cycle scan runs only within ``cycle_budget``."""
-    metric = is_metric(g)
-    tri = sum(1 for _ in _broken_triangle_tops(g))
-    if cycle_budget is not None and g.n <= cycle_budget:
-        return InstanceStats(
-            is_metric=metric,
-            broken_triangle_count=tri,
-            longest_broken_cycle=longest_broken_cycle_len(g, cycle_budget),
-            cycle_length_computed=True,
-        )
-    return InstanceStats(is_metric=metric, broken_triangle_count=tri)
+    computed = cycle_budget is not None and g.n <= cycle_budget
+    return InstanceStats(
+        is_metric=is_metric(g),
+        broken_triangle_count=len(broken_triangles(g)),
+        longest_broken_cycle=longest_broken_cycle_len(g, cycle_budget) if computed else None,
+        cycle_length_computed=computed,
+    )

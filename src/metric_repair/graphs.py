@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Edge = tuple[int, int]
 WeightLike = Union[int, str, Fraction]
@@ -222,12 +222,25 @@ class WeightedGraph:
         return self._scale, self._intw
 
 
-@dataclass(frozen=True)
-class BrokenCycleWitness:
+def _top_edge(intw: Mapping[Edge, int], edges: Sequence[Edge]) -> Edge | None:
+    """Top edge of the cycle ``edges`` under scaled integer weights, or None.
+
+    The one broken-cycle predicate: a cycle is broken when ``2 * w(top) >
+    w(cycle)``.  Only the heaviest edge can outweigh all the others together.
+    """
+    weights = [intw[e] for e in edges]
+    heaviest = max(weights)
+    if 2 * heaviest > sum(weights):
+        return edges[weights.index(heaviest)]
+    return None
+
+
+class BrokenCycleWitness(NamedTuple):
     """A cycle together with the edge whose weight exceeds the rest of it.
 
     ``cycle`` lists distinct vertices; consecutive pairs plus the wrap-around
-    pair are the cycle edges, and ``top_edge`` is the violating one.
+    pair are the cycle edges, and ``top_edge`` is the violating one.  A named
+    tuple, so it compares equal to the plain tuple ``(cycle, top_edge)``.
     """
 
     cycle: tuple[int, ...]
@@ -246,10 +259,10 @@ class BrokenCycleWitness:
         if len(self.cycle) < 3 or len(set(self.cycle)) != len(self.cycle):
             raise ValueError("witness cycle must list at least 3 distinct vertices")
         top = edge_key(*self.top_edge)
-        if top not in self.edges():
+        edges = self.edges()
+        if top not in edges:
             raise ValueError("top edge is not on the witness cycle")
-        rest = sum((g.weight(*e) for e in self.bottom_edges()), Fraction(0))
-        if not g.weight(*top) > rest:
+        if _top_edge(g.integer_form()[1], edges) != top:
             raise ValueError("cycle inequality is not strictly violated")
 
 

@@ -336,6 +336,25 @@ def test_small_cli_runs_never_import_numpy(tmp_path, args):
     assert last.split()[-1] in ("0", "1")
 
 
+def test_detect_into_a_closed_pipe_keeps_its_exit_code(tmp_path):
+    # 104,371 triangle lines, 3.76 MB: far more than a pipe buffer holds, so
+    # detect is still writing when the reader goes away after two lines.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    cli = [sys.executable, "-m", "metric_repair.cli"]
+    subprocess.run(cli + ["gen", "--kind", "DenseGamma", "--param", "n=120", "--param", "k=59",
+                          "--out", "dense.csv"], cwd=tmp_path, env=env, check=True, timeout=60)
+    with subprocess.Popen(cli + ["detect", "dense.csv"], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+        head = [run.stdout.readline() for _ in range(2)]
+        run.stdout.close()
+        err = run.stderr.read()
+        assert run.wait(timeout=60) == 1
+    assert head == [b"is_metric: false\n", b"broken_cycle: 0-58-59 top=(0, 59)\n"]
+    assert b"Traceback" not in err and err == b""
+
+
 @pytest.mark.parametrize("algo, omega", [("dmr", "decrease"), ("spc", "increase")])
 def test_weights_past_the_print_limit_exit_two(tmp_path, capsys, algo, omega):
     # 10^5000 cannot be printed as a Python int (4300 digits), so it is refused

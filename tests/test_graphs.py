@@ -114,6 +114,27 @@ def test_witness_check_accepts_and_rejects():
         BrokenCycleWitness(cycle=(0, 1, 2, 3), top_edge=(1, 2)).check(c4)
     with pytest.raises(ValueError):
         BrokenCycleWitness(cycle=(0, 1), top_edge=(0, 1)).check(c4)
+    # At 2^62 the scaled sums pass int64: one unit past the tie breaks the
+    # triangle, the exact tie does not, and only the heaviest edge is its top.
+    big = 2 ** 62
+    tie = WeightedGraph(3, [(0, 1, big), (0, 2, big // 2), (1, 2, big // 2)])
+    BrokenCycleWitness(cycle=(0, 1, 2), top_edge=(0, 1)).check(
+        tie.replace_weights({(0, 1): big + 1}))
+    straddle = tie.replace_weights({(1, 2): 2 * big + 1})
+    BrokenCycleWitness(cycle=(0, 1, 2), top_edge=(2, 1)).check(straddle)
+    with pytest.raises(ValueError, match="not strictly violated"):
+        BrokenCycleWitness(cycle=(0, 1, 2), top_edge=(0, 1)).check(tie)
+    with pytest.raises(ValueError, match="not strictly violated"):
+        BrokenCycleWitness(cycle=(0, 1, 2), top_edge=(0, 1)).check(straddle)
+
+
+def test_witness_is_an_immutable_named_tuple():
+    w = BrokenCycleWitness(cycle=(0, 1, 2), top_edge=(0, 2))
+    with pytest.raises(AttributeError):
+        w.top_edge = (0, 1)
+    assert w == ((0, 1, 2), (0, 2)) and hash(w) == hash(((0, 1, 2), (0, 2)))
+    assert repr(w) == "BrokenCycleWitness(cycle=(0, 1, 2), top_edge=(0, 2))"
+    assert w.edges() == ((0, 1), (1, 2), (0, 2)) and w.bottom_edges() == ((0, 1), (1, 2))
 
 
 def test_distance_matrix_validation():
