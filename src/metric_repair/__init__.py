@@ -22,101 +22,73 @@ The public surface groups into:
   dispatcher :func:`run_algo`.
 """
 
-from .approx import (
-    ApproxReport,
-    SupportRejectedError,
-    five_cycle_cover,
-    general_shortest_path_cover,
-    matrix_sweep_repair,
-    repaired_cell_count,
-    shortest_path_cover,
-)
-from .chordal import is_chordal, perfect_elimination_ordering
-from .detect import (
-    broken_cycles,
-    broken_triangles,
-    find_broken_witness,
-    instance_stats,
-    is_metric,
-    longest_broken_cycle_len,
-    simple_cycles,
-)
-from .exact import (
-    RejectionReason,
-    VerifierOutcome,
-    covers_broken_cycles,
-    decrease_repair,
-    normalize_support,
-    verify_support,
-)
-from .fpt import FptResult, fpt_general, fpt_increase, fpt_min_repair
-from .graphs import (
-    BrokenCycleWitness,
-    DistanceMatrix,
-    EnumerationBudgetError,
-    InputFormatError,
-    InstanceStats,
-    MetricRepairError,
-    OmegaClass,
-    PreconditionError,
-    RepairDelta,
-    WeightedGraph,
-    apply_delta,
-    as_weight,
-    edge_key,
-)
-from .oracle import all_optimal_supports, brute_force_opt, minimum_cycle_cover
-from .paths import ApspResult, apsp
-from .runner import NoSolutionError, RepairReport, run_algo
+import importlib
 
-__all__ = [
-    "ApproxReport",
-    "ApspResult",
-    "BrokenCycleWitness",
-    "DistanceMatrix",
-    "EnumerationBudgetError",
-    "FptResult",
-    "InputFormatError",
-    "InstanceStats",
-    "MetricRepairError",
-    "NoSolutionError",
-    "OmegaClass",
-    "PreconditionError",
-    "RejectionReason",
-    "RepairDelta",
-    "RepairReport",
-    "SupportRejectedError",
-    "VerifierOutcome",
-    "WeightedGraph",
-    "all_optimal_supports",
-    "apply_delta",
-    "apsp",
-    "as_weight",
-    "broken_cycles",
-    "broken_triangles",
-    "brute_force_opt",
-    "covers_broken_cycles",
-    "decrease_repair",
-    "edge_key",
-    "find_broken_witness",
-    "five_cycle_cover",
-    "fpt_general",
-    "fpt_increase",
-    "fpt_min_repair",
-    "general_shortest_path_cover",
-    "instance_stats",
-    "is_chordal",
-    "is_metric",
-    "longest_broken_cycle_len",
-    "matrix_sweep_repair",
-    "minimum_cycle_cover",
-    "normalize_support",
-    "perfect_elimination_ordering",
-    "repaired_cell_count",
-    "run_algo",
-    "shortest_path_cover",
-    "simple_cycles",
-    "verify_support",
-]
+# Public name -> the submodule that defines it.  A name is imported on first
+# use (PEP 562), so a command loads only the modules its own work calls.  The
+# resolved object is not stored in this module: a later rebinding of the
+# submodule's attribute (as the tracer in perfbench/ does) is always seen.
+_EXPORTS = {
+    "ApproxReport": "approx",
+    "five_cycle_cover": "approx",
+    "general_shortest_path_cover": "approx",
+    "matrix_sweep_repair": "approx",
+    "repaired_cell_count": "approx",
+    "shortest_path_cover": "approx",
+    "is_chordal": "chordal",
+    "perfect_elimination_ordering": "chordal",
+    "broken_cycles": "detect",
+    "broken_triangles": "detect",
+    "find_broken_witness": "detect",
+    "instance_stats": "detect",
+    "is_metric": "detect",
+    "longest_broken_cycle_len": "detect",
+    "simple_cycles": "detect",
+    "RejectionReason": "exact",
+    "VerifierOutcome": "exact",
+    "covers_broken_cycles": "exact",
+    "decrease_repair": "exact",
+    "normalize_support": "exact",
+    "verify_support": "exact",
+    "FptResult": "fpt",
+    "fpt_general": "fpt",
+    "fpt_increase": "fpt",
+    "fpt_min_repair": "fpt",
+    "BrokenCycleWitness": "graphs",
+    "DistanceMatrix": "graphs",
+    "EnumerationBudgetError": "graphs",
+    "InputFormatError": "graphs",
+    "InstanceStats": "graphs",
+    "MetricRepairError": "graphs",
+    "OmegaClass": "graphs",
+    "PreconditionError": "graphs",
+    "RepairDelta": "graphs",
+    "SupportRejectedError": "graphs",
+    "WeightedGraph": "graphs",
+    "apply_delta": "graphs",
+    "as_weight": "graphs",
+    "edge_key": "graphs",
+    "all_optimal_supports": "oracle",
+    "brute_force_opt": "oracle",
+    "minimum_cycle_cover": "oracle",
+    "ApspResult": "paths",
+    "apsp": "paths",
+    "NoSolutionError": "runner",
+    "RepairReport": "runner",
+    "run_algo": "runner",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

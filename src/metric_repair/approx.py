@@ -20,16 +20,17 @@ over the integer matrix in one numpy kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import NamedTuple
 
-from .exact import verify_support, VerifierOutcome
+from .exact import verify_support
 from .graphs import (
     DistanceMatrix,
     MetricRepairError,
     OmegaClass,
     RepairDelta,
+    SupportRejectedError,
     WeightedGraph,
     _top_edge,
     edge_key,
@@ -37,16 +38,7 @@ from .graphs import (
 from .paths import _INT64_SAFE, _scaled_apsp
 
 
-class SupportRejectedError(MetricRepairError):
-    """An approximation produced a support the Verifier would not accept."""
-
-    def __init__(self, outcome: VerifierOutcome):
-        super().__init__(f"support rejected: {outcome.reason.value}")
-        self.outcome = outcome
-
-
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Solution plus the run facts the benches report."""
 
     support: frozenset

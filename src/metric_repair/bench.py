@@ -9,7 +9,7 @@ seed-fixed, so repeated runs produce identical CSV bodies (timings aside).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import DistanceMatrix, OmegaClass, WeightedGraph
 from .oracle import DEFAULT_EDGE_LIMIT, brute_force_opt, minimum_cycle_cover
@@ -32,8 +32,7 @@ CSV_COLUMNS = ("instance", "kind", "n", "m", "algo", "omega", "support_size",
 _EXACT_L_MAX_N = 8
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     instance: str
     kind: str
     n: int

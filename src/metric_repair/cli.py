@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 
-from . import bench as bench_mod
-from .approx import SupportRejectedError
 from .detect import broken_triangles, find_broken_witness, is_metric
 from .exact import verify_support
 from .fileio import (
@@ -28,12 +26,12 @@ from .fileio import (
     serialize_edge_list,
     serialize_matrix_csv,
 )
-from .gadgets import GADGET_KINDS, RANDOM_KINDS, GadgetSpec, build
 from .graphs import (
     DistanceMatrix,
     InputFormatError,
     OmegaClass,
     PreconditionError,
+    SupportRejectedError,
     WeightedGraph,
     apply_delta,
     clipped,
@@ -124,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(func=cmd_detect)
 
     p_gen = sub.add_parser("gen", help="generate a named instance")
-    p_gen.add_argument("--kind", required=True, choices=GADGET_KINDS)
+    p_gen.add_argument("--kind", required=True,
+                       help="instance family; an unknown kind lists the known ones")
     p_gen.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE", help="kind-specific parameter")
     p_gen.add_argument("--seed", type=int)
@@ -216,6 +215,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .gadgets import GADGET_KINDS, RANDOM_KINDS, GadgetSpec, build
+
+    if args.kind not in GADGET_KINDS:
+        raise InputFormatError(
+            f"unknown --kind {clipped(args.kind)!r}; expected one of {', '.join(GADGET_KINDS)}")
     params = {}
     for item in args.param:
         if "=" not in item:
@@ -248,6 +252,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     try:
         handle = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:

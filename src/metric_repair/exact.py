@@ -12,10 +12,9 @@ weights themselves form one such repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .detect import broken_cycles
 from .graphs import (
@@ -47,8 +46,7 @@ class RejectionReason(Enum):
     DECREASED_IN_INCREASE_MODE = "decreased-in-increase-mode"
 
 
-@dataclass(frozen=True)
-class VerifierOutcome:
+class VerifierOutcome(NamedTuple):
     delta: RepairDelta | None
     reason: RejectionReason | None
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (
     InputFormatError,
@@ -192,8 +191,7 @@ def serialize_matrix_csv(g: WeightedGraph) -> str:
 # -- repair deltas ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaDocument:
+class DeltaDocument(NamedTuple):
     """A repair delta plus the summary facts recorded next to it."""
 
     delta: RepairDelta
@@ -247,6 +245,8 @@ def _add_delta_entry(entries: dict, u: int, v: int, value, where: str) -> None:
 
 
 def serialize_delta_json(doc: DeltaDocument) -> str:
+    import json
+
     payload = {
         "omega": doc.delta.omega.value,
         "entries": [
@@ -260,6 +260,8 @@ def serialize_delta_json(doc: DeltaDocument) -> str:
 
 
 def parse_delta_json(text: str) -> DeltaDocument:
+    import json
+
     try:
         payload = json.loads(text)
         omega = OmegaClass.parse(payload["omega"])

@@ -9,11 +9,11 @@ necessarily the optimum itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
+from .fileio import MAX_VERTICES
 from .graphs import DistanceMatrix, WeightedGraph, edge_key
 from .paths import apsp
 
@@ -32,14 +32,12 @@ GADGET_KINDS = (
 RANDOM_KINDS = ("PlantedChordal", "PlantedComplete")
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
+class GadgetSpec(NamedTuple):
     kind: str
     params: Mapping
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(NamedTuple):
     instance: object  # WeightedGraph or DistanceMatrix
     planted_support: frozenset | None = None
 
@@ -256,32 +254,40 @@ def base_graph_edges(family: str, n: int, seed: int | None = None,
 
 
 def build(spec: GadgetSpec) -> GadgetInstance:
-    """Materialize a gadget description (the CLI's entry point)."""
+    """Materialize a gadget description (the CLI's entry point).
+
+    Sizes (``n``, ``base_n``, ``base_m``) must be below ``fileio.MAX_VERTICES``:
+    the reader refuses a larger instance anyway.
+    """
     kind, p = spec.kind, dict(spec.params)
     if kind == "CycleFig1":
-        return GadgetInstance(cycle_fig_one(int(p["n"])))
+        return GadgetInstance(cycle_fig_one(_size(p, "n")))
     if kind == "CycleTight":
-        return GadgetInstance(cycle_tight(int(p["n"])))
+        return GadgetInstance(cycle_tight(_size(p, "n")))
     if kind == "CompletedCycle":
-        return GadgetInstance(completed_cycle(int(p["n"])))
+        return GadgetInstance(completed_cycle(_size(p, "n")))
     if kind == "VertexCoverSuspension":
-        n = int(p["base_n"])
-        edges = base_graph_edges(p.get("base", "path"), n, seed=_opt_int(p, "seed"),
-                                 m=_opt_int(p, "base_m"))
+        n = _size(p, "base_n")
+        edges = base_graph_edges(p.get("base", "path"), n,
+                                 seed=int(p["seed"]) if "seed" in p else None,
+                                 m=_size(p, "base_m") if "base_m" in p else None)
         alpha = Fraction(p.get("alpha", 1))
         return GadgetInstance(suspension(n, edges, alpha))
     if kind == "ComponentL":
-        return GadgetInstance(component_blocks(int(p["n"]), int(p["L"])))
+        return GadgetInstance(component_blocks(_size(p, "n"), int(p["L"])))
     if kind == "IomrWorst":
-        return GadgetInstance(sweep_worst_matrix(int(p["n"])))
+        return GadgetInstance(sweep_worst_matrix(_size(p, "n")))
     if kind == "DenseGamma":
-        return GadgetInstance(dense_block_matrix(int(p["n"]), int(p["k"])))
+        return GadgetInstance(dense_block_matrix(_size(p, "n"), int(p["k"])))
     if kind == "PlantedChordal":
-        return planted_chordal(int(p["n"]), int(p["k"]), int(p["seed"]))
+        return planted_chordal(_size(p, "n"), int(p["k"]), int(p["seed"]))
     if kind == "PlantedComplete":
-        return planted_complete(int(p["n"]), int(p["k"]), int(p["seed"]))
+        return planted_complete(_size(p, "n"), int(p["k"]), int(p["seed"]))
     raise ValueError(f"unknown gadget kind {kind!r}; expected one of {GADGET_KINDS}")
 
 
-def _opt_int(params: dict, key: str) -> int | None:
-    return int(params[key]) if key in params else None
+def _size(params: dict, key: str) -> int:
+    value = int(params[key])
+    if value >= MAX_VERTICES:
+        raise ValueError(f"{key} must be below {MAX_VERTICES}")
+    return value

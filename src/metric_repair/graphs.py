@@ -16,10 +16,9 @@ across threads; all operations on them are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Edge = tuple[int, int]
@@ -40,6 +39,14 @@ class PreconditionError(MetricRepairError):
 
 class EnumerationBudgetError(PreconditionError):
     """An exponential enumeration guard refused to run at this size."""
+
+
+class SupportRejectedError(MetricRepairError):
+    """An approximation produced a support the Verifier would not accept."""
+
+    def __init__(self, outcome):
+        super().__init__(f"support rejected: {outcome.reason.value}")
+        self.outcome = outcome
 
 
 MAX_ECHO = 40
@@ -71,11 +78,25 @@ def _checked_weight(value: WeightLike) -> int | Fraction:
     return value if type(value) is int and value >= 0 else as_weight(value)
 
 
-def _scale_weights(weights: Mapping[Edge, int | Fraction]) -> tuple[int, dict[Edge, int]]:
-    """The one scaling routine: ``scale`` is the lcm of the reduced denominators
-    (equal weights, equal scale) and ``w`` becomes ``numerator * (scale // den)``."""
-    scale = lcm(*(w.denominator for w in weights.values()))
-    return scale, {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
+def _scale_weights(weights: Mapping[Edge, int | Fraction], scale: int = 1,
+                   intw: Mapping[Edge, int] | None = None) -> tuple[int, dict[Edge, int]]:
+    """The one scaling routine: ``weights`` written over the scaled store
+    ``(scale, intw)``, empty by default.  The result's scale is the lcm of the
+    reduced denominators of all its weights (equal weights, equal scale), and
+    ``w`` becomes ``numerator * (scale // den)``.  The stored ints are multiplied
+    up only when a new denominator enlarges the scale, and divided down when
+    the overwritten weights held the only factor of it."""
+    intw = intw or {}
+    new_scale = lcm(scale, *(w.denominator for w in weights.values()))
+    factor = new_scale // scale
+    out = dict(intw) if factor == 1 else {e: x * factor for e, x in intw.items()}
+    for e, w in weights.items():
+        out[e] = w.numerator * (new_scale // w.denominator)
+    common = gcd(new_scale, *out.values()) if intw and new_scale > 1 else 1
+    if common > 1:
+        new_scale //= common
+        out = {e: x // common for e, x in out.items()}
+    return new_scale, out
 
 
 def as_delta_value(value: WeightLike) -> Fraction:
@@ -196,16 +217,17 @@ class WeightedGraph:
     # -- derived graphs ----------------------------------------------------
 
     def replace_weights(self, new_weights: Mapping[Edge, WeightLike]) -> "WeightedGraph":
-        """Same topology (shared, not rebuilt) with some edge weights overridden."""
-        w = dict(self._intw) if self._scale == 1 else self.weight_map()
+        """Same topology (shared, not rebuilt) with some edge weights overridden;
+        only the new weights are scaled onto a copy of the stored integers."""
+        updates = {}
         for key, value in new_weights.items():
             key = edge_key(*key)
-            if key not in w:
+            if key not in self._intw:
                 raise ValueError(f"{key} is not an edge")
-            w[key] = _checked_weight(value)
+            updates[key] = _checked_weight(value)
         g = WeightedGraph.__new__(WeightedGraph)
         g.n, g._adj, g._edges, g._apsp_cache = self.n, self._adj, self._edges, {}
-        g._scale, g._intw = _scale_weights(w)
+        g._scale, g._intw = _scale_weights(updates, self._scale, self._intw)
         return g
 
     def without_edges(self, removed: Iterable[tuple[int, int]]) -> "WeightedGraph":
@@ -413,8 +435,7 @@ class DistanceMatrix:
         return f"DistanceMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class InstanceStats:
+class InstanceStats(NamedTuple):
     """Headline facts about an instance, for reports and benches."""
 
     is_metric: bool

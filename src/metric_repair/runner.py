@@ -3,18 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .approx import (
-    five_cycle_cover,
-    general_shortest_path_cover,
-    matrix_sweep_repair,
-    repaired_cell_count,
-    shortest_path_cover,
-)
 from .detect import is_metric, longest_broken_cycle_len
 from .exact import decrease_repair
-from .fpt import fpt_min_repair
 from .graphs import (
     DistanceMatrix,
     MetricRepairError,
@@ -24,7 +16,6 @@ from .graphs import (
     WeightedGraph,
     apply_delta,
 )
-from .oracle import brute_force_opt
 
 ALGORITHMS = ("dmr", "fpt", "spc", "gspc", "5cc", "iomr", "oracle")
 
@@ -45,8 +36,7 @@ class NoSolutionError(MetricRepairError):
     """The requested algorithm found no repair within its budget."""
 
 
-@dataclass
-class RepairReport:
+class RepairReport(NamedTuple):
     """One solver run: solution, size facts and timing."""
 
     algo: str
@@ -83,6 +73,14 @@ def run_algo(instance, omega: OmegaClass, algo: str,
     if algo in _MATRIX_ONLY:
         matrix = DistanceMatrix.from_graph(graph)  # raises unless complete
 
+    # A solver module loads only for the algorithm that runs, before the clock.
+    if algo == "fpt":
+        from .fpt import fpt_min_repair
+    elif algo == "oracle":
+        from .oracle import brute_force_opt
+    elif algo != "dmr":
+        from .approx import (five_cycle_cover, general_shortest_path_cover,
+                             matrix_sweep_repair, repaired_cell_count, shortest_path_cover)
     iterations = None
     repaired_cells = None
     start = time.perf_counter()
@@ -111,7 +109,10 @@ def run_algo(instance, omega: OmegaClass, algo: str,
 
     repaired = apply_delta(graph, delta)
     valid = is_metric(repaired) and all(omega.allows(v) for _, v in delta.items())
-    report = RepairReport(
+    longest = None
+    if exact_cycle_budget is not None and graph.n <= exact_cycle_budget:
+        longest = longest_broken_cycle_len(graph, exact_cycle_budget)
+    return RepairReport(
         algo=algo,
         omega=omega,
         n=graph.n,
@@ -121,8 +122,6 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         time_ms=elapsed_ms,
         iterations=iterations,
         repaired_cells=repaired_cells,
+        longest_broken_cycle=longest,
         valid=valid,
     )
-    if exact_cycle_budget is not None and graph.n <= exact_cycle_budget:
-        report.longest_broken_cycle = longest_broken_cycle_len(graph, exact_cycle_budget)
-    return report

@@ -254,6 +254,40 @@ def test_gen_invalid_parameters(tmp_path):
                     "--param", "k=4", "--out", str(tmp_path / "x.txt")]) == 2
 
 
+def test_gen_sizes_at_the_vertex_cap_exit_two(tmp_path, capsys):
+    # The reader refuses vertex ids at the cap, so gen refuses such sizes
+    # before building anything; one below the cap round-trips.
+    from metric_repair.fileio import MAX_VERTICES
+
+    out = tmp_path / "x.txt"
+    assert run_cli(["gen", "--kind", "CycleTight", "--param", f"n={MAX_VERTICES - 1}",
+                    "--out", str(out)]) == 0
+    g = parse_edge_list(out.read_text(encoding="utf-8"))
+    assert g.n == g.m == MAX_VERTICES - 1
+    out.unlink()
+    capsys.readouterr()
+    for kind, params in [
+        ("CycleTight", [f"n={MAX_VERTICES}"]),
+        ("PlantedComplete", ["n=100000000", "k=1", "seed=1"]),
+        ("VertexCoverSuspension", [f"base_n={MAX_VERTICES}"]),
+        ("VertexCoverSuspension", ["base_n=5", "base=random", "seed=1",
+                                   f"base_m={MAX_VERTICES}"]),
+    ]:
+        args = ["gen", "--kind", kind, "--out", str(out)]
+        assert run_cli(args + [f"--param={p}" for p in params]) == 2
+        assert f"must be below {MAX_VERTICES}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_gen_unknown_kind_lists_the_known_ones(tmp_path, capsys):
+    from metric_repair.gadgets import GADGET_KINDS
+
+    assert run_cli(["gen", "--kind", "NoSuchKind", "--out", str(tmp_path / "x.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown --kind 'NoSuchKind'")
+    assert all(kind in err for kind in GADGET_KINDS)
+
+
 def test_gen_then_repair_chain(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     assert run_cli(["gen", "--kind", "CycleTight", "--param", "n=6",
@@ -307,10 +341,32 @@ def test_bench_rows_are_deterministic_apart_from_timings():
     assert strip_times(run_suite("ratios")) == strip_times(run_suite("ratios"))
 
 
-_REPORT_NUMPY = ("import sys\n"
-                 "from metric_repair.cli import main\n"
-                 "status = main(sys.argv[1:])\n"
-                 "print('numpy imported:', 'numpy' in sys.modules, 'exit:', status)\n")
+_REPORT_MODULES = ("import sys\n"
+                   "from metric_repair.cli import main\n"
+                   "status = main(sys.argv[2:])\n"
+                   "loaded = [m for m in sys.argv[1].split(',') if m in sys.modules]\n"
+                   "print('loaded:', ','.join(loaded) or '-', 'exit:', status)\n")
+
+
+def modules_loaded_by_cli(tmp_path, args, names) -> list[str]:
+    """Run one CLI command on small inputs in a fresh interpreter and return
+    which of the module ``names`` it loaded."""
+    from metric_repair.fileio import serialize_edge_list, serialize_matrix_csv
+    from metric_repair.gadgets import planted_chordal, planted_complete
+
+    write(tmp_path / "small.csv",
+          serialize_matrix_csv(planted_complete(8, 2, seed=3).instance.to_graph()))
+    write(tmp_path / "chordal.txt", serialize_edge_list(planted_chordal(10, 1, seed=3).instance))
+    write(tmp_path / "support.txt", "0 1\n2 5\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", _REPORT_MODULES, ",".join(names), *args],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    last = run.stdout.splitlines()[-1]
+    assert last.startswith("loaded: ") and last.split()[-1] in ("0", "1"), (last, run.stderr)
+    loaded = last.split()[1]
+    return [] if loaded == "-" else loaded.split(",")
 
 
 @pytest.mark.parametrize("args", [
@@ -320,20 +376,25 @@ _REPORT_NUMPY = ("import sys\n"
     ["repair", "chordal.txt", "--omega", "increase", "--algo", "fpt"],
 ])
 def test_small_cli_runs_never_import_numpy(tmp_path, args):
-    from metric_repair.fileio import serialize_edge_list, serialize_matrix_csv
-    from metric_repair.gadgets import planted_chordal, planted_complete
+    assert modules_loaded_by_cli(tmp_path, args, ["numpy"]) == []
 
-    write(tmp_path / "small.csv",
-          serialize_matrix_csv(planted_complete(8, 2, seed=3).instance.to_graph()))
-    write(tmp_path / "chordal.txt", serialize_edge_list(planted_chordal(10, 1, seed=3).instance))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    run = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *args], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=60)
-    last = run.stdout.splitlines()[-1]
-    assert last.startswith("numpy imported: False exit: "), (last, run.stderr)
-    assert last.split()[-1] in ("0", "1")
+
+_NOT_NEEDED = ["metric_repair.gadgets", "metric_repair.bench", "metric_repair.oracle",
+               "metric_repair.fpt", "metric_repair.chordal", "dataclasses", "inspect", "numpy"]
+
+
+@pytest.mark.parametrize("args, needs_approx", [
+    (["detect", "small.csv"], False),
+    (["detect", "small.csv", "--triangles-only"], False),
+    (["repair", "small.csv", "--omega", "decrease", "--algo", "dmr"], False),
+    (["repair", "small.csv", "--omega", "increase", "--algo", "spc"], True),
+    (["repair", "small.csv", "--omega", "increase", "--algo", "5cc"], True),
+    (["verify", "small.csv", "--support", "support.txt", "--omega", "increase"], False),
+], ids=["detect", "detect-triangles", "dmr", "spc", "5cc", "verify"])
+def test_small_cli_runs_load_only_their_own_modules(tmp_path, args, needs_approx):
+    names = _NOT_NEEDED + ["metric_repair.approx"]
+    loaded = modules_loaded_by_cli(tmp_path, args, names)
+    assert loaded == (["metric_repair.approx"] if needs_approx else [])
 
 
 def test_detect_into_a_closed_pipe_keeps_its_exit_code(tmp_path):

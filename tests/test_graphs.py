@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -179,8 +180,8 @@ def test_run_algo_scales_a_complete_graph_once(monkeypatch, algo):
     scaled = []
     scale_weights = graphs._scale_weights
 
-    def recording(weights):
-        scaled.append(scale_weights(weights))
+    def recording(*args):
+        scaled.append(scale_weights(*args))
         return scaled[-1]
 
     monkeypatch.setattr(graphs, "_scale_weights", recording)
@@ -214,6 +215,51 @@ def test_integer_form_is_the_canonical_scaled_store():
         g.replace_weights({(0, 1): -1})
     with pytest.raises(TypeError):
         g.replace_weights({(0, 1): 0.5})
+
+
+def replace_by_fractions(g: WeightedGraph, new_weights) -> tuple[int, dict]:
+    """Reference ``replace_weights``: every weight as a Fraction, overridden,
+    then put over the least common denominator of the result."""
+    w = g.weight_map()
+    w.update({edge_key(*e): Fraction(x) for e, x in new_weights.items()})
+    scale = lcm(*(x.denominator for x in w.values()))
+    return scale, {e: int(x * scale) for e, x in w.items()}
+
+
+_BIG_PRIMES = (2097143, 2097169, 2097211)  # their product passes 2^62
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_replace_weights_matches_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    dens = (1, 1, 2, 3, 4, 6, 12, *_BIG_PRIMES) if seed % 2 else (1, 2, 3, 4, 6, 12)
+    values = lambda: Fraction(rng.choice((0, 0, rng.randrange(50))), rng.choice(dens))
+    n = rng.randint(3, 9)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    g = WeightedGraph(n, [(u, v, values()) for u, v in pairs[:rng.randint(1, len(pairs))]])
+    for _ in range(6):
+        picked = rng.sample(g.edges, rng.randint(0, g.m))
+        new = {(v, u) if rng.random() < 0.5 else (u, v): values() for u, v in picked}
+        replaced = g.replace_weights(new)
+        scale, intw = replaced.integer_form()
+        assert (scale, intw) == replace_by_fractions(g, new)
+        assert list(intw) == list(g.integer_form()[1])  # the parent's edge order
+        assert replaced == WeightedGraph(n, ((u, v, replaced.weight(u, v))
+                                             for u, v in g.edges))
+        g = replaced
+
+
+def test_replace_weights_grows_and_shrinks_the_scale_past_2_to_62():
+    p, q, r = _BIG_PRIMES
+    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 0), (2, 3, Fraction(5, p)), (0, 3, 7)])
+    wide = g.replace_weights({(1, 2): Fraction(1, q), (0, 1): Fraction(2, r)})
+    assert wide.integer_form()[0] == p * q * r > 2 ** 62
+    for new in ({(2, 3): 0}, {(1, 2): Fraction(3, 1)}, {(0, 1): 4}):
+        expected = replace_by_fractions(wide, new)
+        wide = wide.replace_weights(new)
+        assert wide.integer_form() == expected
+    assert wide.integer_form() == (1, {(0, 1): 4, (1, 2): 3, (2, 3): 0, (0, 3): 7})
 
 
 _exact_values = st.fractions(min_value=0, max_value=8, max_denominator=12)
