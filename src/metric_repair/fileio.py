@@ -159,6 +159,16 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
     for i, row in enumerate(cells):
         if len(row) != n:
             raise InputFormatError(f"row {i}: expected {n} columns, got {len(row)}")
+        digits = "".join(row)
+        if all(row) and digits.isascii() and digits.isdigit():
+            # Every cell is plain ASCII digits, which parse_exact hands to int
+            # unchanged.  A cell past int's digit limit takes the loop below,
+            # so it gets the same error.
+            try:
+                parsed.append(list(map(int, row)))
+                continue
+            except ValueError:
+                pass
         out_row: list[int | Fraction | None] = []
         for j, cell in enumerate(row):
             token = cell.strip()

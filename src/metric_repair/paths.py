@@ -8,7 +8,10 @@ unreachable), so callers compare it with scaled edge weights exactly, and a
 * ``dense`` -- matrix relaxation (Floyd-Warshall) filling every row at once,
   through a vectorized numpy int64 loop on large instances whose distances
   fit comfortably in 64 bits and over Python ints otherwise.  It runs when
-  ``m > n^2/4``.
+  ``m > n^2/4``.  The Python loop relaxes each unordered pair once per pivot
+  and writes the result to both halves: the matrix stays symmetric, and
+  pivot ``k``'s row and column do not change while it runs (``d(k, k) = 0``,
+  weights are nonnegative), so this is the full relaxation's result.
 * ``sparse`` -- priority-queue search (Dijkstra; weights are nonnegative),
   run for a source the first time its row is read.  It runs otherwise.
 
@@ -18,7 +21,9 @@ order and attaches each one to its smallest already-settled tight
 predecessor: a strict improvement resets the parent, a tie keeps the smaller
 id.  This stays acyclic across zero-weight plateaus, and repeated runs return
 identical paths.  A row the dense engine filled gets its tree from one search
-the first time a path from that source is read.
+the first time a path from that source is read.  The adjacency lists the
+searches walk are built by the first search, so a dense result read only
+through ``row``, ``dist`` and ``edge`` never builds them.
 
 Callers that only ask whether each edge is a shortest path read ``edge(u,
 v)``.  Where no filled row exists it searches from ``u`` only as far as
@@ -49,7 +54,8 @@ class ApspResult:
     were computed from.  A row the dense engine did not fill, and the tree of
     any source, come from one search the first time either is read; an edge
     read on an unfilled row runs the bounded search (module docstring) once
-    per source instead.
+    per source instead.  The searches' adjacency lists are built from
+    ``intw`` by the first search, not up front.
     """
 
     __slots__ = ("scale", "intw", "_rows", "_adj", "_parents", "_near")
@@ -58,15 +64,21 @@ class ApspResult:
         self.scale = scale
         self.intw = intw
         self._rows = rows or [None] * n
-        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), w in intw.items():
-            self._adj[u].append((v, w))
-            self._adj[v].append((u, w))
+        self._adj: list[list[tuple[int, int]]] | None = None
         self._parents: dict[int, tuple[int | None, ...]] = {}
         self._near: dict[int, tuple[list[int | None], tuple[int | None, ...]]] = {}
 
+    def _adjacency(self) -> list[list[tuple[int, int]]]:
+        """``(neighbour, scaled weight)`` lists, built for the first search."""
+        if self._adj is None:
+            self._adj = [[] for _ in self._rows]
+            for (u, v), w in self.intw.items():
+                self._adj[u].append((v, w))
+                self._adj[v].append((u, w))
+        return self._adj
+
     def _search(self, u: int) -> None:
-        self._rows[u], self._parents[u] = _dijkstra(self._adj, u, None)
+        self._rows[u], self._parents[u] = _dijkstra(self._adjacency(), u, None)
 
     def edge(self, u: int, v: int) -> int:
         """Scaled distance between the ends of the edge ``(u, v)``, ``u < v``.
@@ -78,8 +90,9 @@ class ApspResult:
         if row is None:
             near = self._near.get(u)
             if near is None:
-                limit = max(w for x, w in self._adj[u] if x > u)
-                near = self._near[u] = _dijkstra(self._adj, u, limit)
+                adj = self._adjacency()
+                limit = max(w for x, w in adj[u] if x > u)
+                near = self._near[u] = _dijkstra(adj, u, limit)
             row = near[0]
         return row[v]
 
@@ -163,20 +176,20 @@ def _dense_int_python(n: int, intw, sentinel: int) -> list[list[int | None]]:
     for i in range(n):
         d[i][i] = 0
     for (u, v), w in intw.items():
-        if w < d[u][v]:
-            d[u][v] = w
-            d[v][u] = w
+        d[u][v] = w
+        d[v][u] = w
     for k in range(n):
         dk = d[k]
         for i in range(n):
-            dik = d[i][k]
+            dik = dk[i]  # == d[i][k]: d stays symmetric
             if dik >= sentinel:
                 continue
             row = d[i]
-            for j in range(n):
+            for j in range(i + 1, n):
                 alt = dik + dk[j]
                 if alt < row[j]:
                     row[j] = alt
+                    d[j][i] = alt
     return _unreached_to_none(d, sentinel)
 
 
@@ -185,10 +198,10 @@ def _dense_int_numpy(n: int, intw, sentinel: int) -> list[list[int | None]]:
 
     d = np.full((n, n), sentinel, dtype=np.int64)
     np.fill_diagonal(d, 0)
-    for (u, v), w in intw.items():
-        if w < d[u, v]:
-            d[u, v] = w
-            d[v, u] = w
+    u, v = np.array(list(intw)).T
+    w = np.fromiter(intw.values(), np.int64, len(intw))
+    d[u, v] = w
+    d[v, u] = w
     for k in range(n):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return _unreached_to_none(d.tolist(), sentinel)

@@ -431,6 +431,16 @@ def test_weights_past_the_print_limit_exit_two(tmp_path, capsys, algo, omega):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_matrix_cell_past_the_int_digit_limit_exits_two(tmp_path, capsys):
+    # Rows of plain digits parse through int() in one go; a 5000-digit cell
+    # makes int() refuse the row, which must still end as a bad number.
+    inp = tmp_path / "g.csv"
+    big = "9" * 5000
+    write(inp, f"0,{big}\n{big},0\n")
+    assert run_cli(["detect", str(inp)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad number")
+
+
 def test_scale_past_the_cap_exits_two(tmp_path, capsys):
     # 1/p weights over the first primes: the scale, their product, passes
     # 2^12000 with the 1,057th prime.

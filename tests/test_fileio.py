@@ -84,6 +84,36 @@ def test_matrix_malformed_inputs():
             parse_matrix_csv(text)
 
 
+def _parsed_or_error(text: str):
+    try:
+        g = parse_matrix_csv(text)
+    except InputFormatError as exc:
+        return "error", str(exc)
+    return g.n, g.integer_form(), serialize_matrix_csv(g)
+
+
+@pytest.mark.parametrize("cell, expected", [
+    (" 7", 7), ("+7", 7), ("0012", 12), ("\u0663", 3), ("nan", None), ("", None),
+    ("3/2", Fraction(3, 2)), ("9" * 5000, "bad number"),
+], ids=["space", "plus", "leading-zeros", "arabic-digit", "nan", "empty", "ratio",
+        "past-int-digit-limit"])
+def test_all_digit_rows_parse_as_the_per_cell_loop_does(cell, expected):
+    # One cell in otherwise all-digit rows.  Padding every cell with a space
+    # sends each row through the per-cell loop, which strips cells before
+    # parsing them, so both texts must give the same graph or message.
+    rows = [["0", cell, "4"], [cell, "0", "5"], ["4", "5", "0"]]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    padded = "".join(",".join(" " + c for c in row) + "\n" for row in rows)
+    got = _parsed_or_error(text)
+    assert got == _parsed_or_error(padded)
+    if expected == "bad number":
+        assert got[0] == "error" and got[1].startswith("bad number")
+    else:
+        g = parse_matrix_csv(text)
+        assert g.m == (2 if expected is None else 3)
+        assert expected is None or g.weight(0, 1) == expected
+
+
 def test_delta_tsv_round_trip():
     delta = RepairDelta({(0, 1): Fraction(-3, 2), (2, 5): 4}, OmegaClass.GENERAL)
     doc = DeltaDocument(delta=delta, is_metric_after=True)

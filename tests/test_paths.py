@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from metric_repair import WeightedGraph, apsp, paths
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from metric_repair import WeightedGraph, apsp, decrease_repair, find_broken_witness, is_metric
+from metric_repair import gadgets, paths
 from metric_repair.paths import ApspResult, _dense_int_numpy, _dense_int_python
 
 from conftest import all_simple_path_dist, canonical_parents, random_graph, tree_sweep_graphs
@@ -80,6 +85,30 @@ def test_engines_agree_on_integers_and_fractions():
                     assert dense.dist(u, v) == sparse.dist(u, v) == apsp(inst).dist(u, v)
 
 
+def _full_relaxation(n: int, intw, sentinel: int) -> list[list[int | None]]:
+    # Reference: every ordered pair relaxed through every pivot, with no use
+    # of symmetry.
+    d = [[sentinel] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 0
+    for (u, v), w in intw.items():
+        if w < d[u][v]:
+            d[u][v] = w
+            d[v][u] = w
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            if dik >= sentinel:
+                continue
+            row = d[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < row[j]:
+                    row[j] = alt
+    return [[None if x == sentinel else x for x in row] for row in d]
+
+
 def _guard_graph(rng: random.Random, top: int) -> WeightedGraph:
     # n = 64 with weights in [top / 2, top], ``top`` among them, and vertex 63
     # isolated, so the relaxation adds sentinel to sentinel as well as long
@@ -91,10 +120,11 @@ def _guard_graph(rng: random.Random, top: int) -> WeightedGraph:
 
 
 def test_numpy_and_python_dense_kernels_agree(monkeypatch):
-    # numpy int64 rows == Python rows == searched Dijkstra rows (== brute-force
-    # distances on the small graphs), including at the int64 guard: at n = 64
-    # a largest weight of 2^56 - 1 gives the sentinel 2^62 - 63, so numpy
-    # runs, and 2^56 gives 2^62 + 1, so the Python kernel runs.
+    # numpy int64 rows == Python rows == the full relaxation == searched
+    # Dijkstra rows (== brute-force distances on the small graphs), including
+    # at the int64 guard: at n = 64 a largest weight of 2^56 - 1 gives the
+    # sentinel 2^62 - 63, so numpy runs, and 2^56 gives 2^62 + 1, so the
+    # Python kernel runs.  The last graph adds zero weights and ties at n = 64.
     numpy_calls = []
     real_numpy = paths._dense_int_numpy
     monkeypatch.setattr(paths, "_dense_int_numpy",
@@ -103,10 +133,13 @@ def test_numpy_and_python_dense_kernels_agree(monkeypatch):
              for seed, m in enumerate((20, 20, 20, 20, 20, 6, 8))]
     rng = random.Random(307)
     at_guard = [_guard_graph(rng, 2 ** 56 - 1), _guard_graph(rng, 2 ** 56)]
-    for g in small + at_guard:
+    core = random_graph(rng, 63, 1100, weights=(0, 3))
+    plateaus = WeightedGraph(64, ((u, v, core.weight(u, v)) for (u, v) in core.edges))
+    for g in small + at_guard + [plateaus]:
         scale, intw = g.integer_form()
         sentinel = _sentinel(g)
         python_rows = _dense_int_python(g.n, intw, sentinel)
+        assert python_rows == _full_relaxation(g.n, intw, sentinel)
         searched = _searched(g)
         assert python_rows == [searched.row(u) for u in range(g.n)]
         if sentinel < 2 ** 62:
@@ -121,6 +154,61 @@ def test_numpy_and_python_dense_kernels_agree(monkeypatch):
                  for row in python_rows]
     assert [_sentinel(g) for g in at_guard] == [2 ** 62 - 63, 2 ** 62 + 1]
     assert all(g.m > g.n ** 2 / 4 for g in at_guard)
+
+
+@st.composite
+def kernel_inputs(draw):
+    # Graphs of up to 12 vertices, the last one possibly isolated, with each
+    # pair present or not and weights from a small range (zeros and ties) or
+    # a wide one.
+    n = draw(st.integers(min_value=1, max_value=12))
+    isolated = n > 1 and draw(st.booleans())
+    top = draw(st.sampled_from((0, 1, 3, 10 ** 6)))
+    pairs = list(combinations(range(n - isolated), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
+    return n, {e: w for e, keep, w in zip(pairs, present, weights) if keep}
+
+
+# K_7 plus an isolated vertex: 21 > 8^2 / 4 edges, dense yet disconnected.
+@example((8, {e: (e[0] * 5 + e[1]) % 4 for e in combinations(range(7), 2)}))
+@given(kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_python_kernel_equals_the_full_relaxation(data):
+    n, intw = data
+    sentinel = max(intw.values(), default=0) * n + 1
+    assert _dense_int_python(n, intw, sentinel) == _full_relaxation(n, intw, sentinel)
+
+
+def _counting_searches(monkeypatch) -> list:
+    sources = []
+    real = paths._dijkstra
+    monkeypatch.setattr(paths, "_dijkstra",
+                        lambda *args: sources.append(args[1]) or real(*args))
+    return sources
+
+
+def test_dense_reads_of_a_metric_matrix_build_no_adjacency(monkeypatch):
+    # Filled rows answer every edge read: no search runs and the adjacency
+    # lists the searches would walk are never built.
+    g = gadgets.planted_complete(40, 0, seed=17).instance.to_graph()
+    sources = _counting_searches(monkeypatch)
+    assert decrease_repair(g).norm0() == 0
+    assert is_metric(g)
+    assert sources == [] and apsp(g)._adj is None
+
+
+def test_broken_witness_from_filled_rows_equals_the_searched_one(monkeypatch):
+    # The witness path comes from one search on the lazily built adjacency;
+    # it equals the witness an all-searched result gives.
+    for seed in range(4):
+        g = gadgets.planted_complete(40, 1, seed=seed).instance.to_graph()
+        sources = _counting_searches(monkeypatch)
+        witness = find_broken_witness(g)
+        assert witness is not None and len(sources) == 1
+        twin = WeightedGraph(g.n, ((u, v, g.weight(u, v)) for (u, v) in g.edges))
+        twin._apsp_cache["dense"] = _searched(twin)
+        assert find_broken_witness(twin) == witness
 
 
 def test_distance_invariants():
