@@ -14,8 +14,12 @@ path's closing edge, for an (L+1) * OPT bound.
 ``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, the
 checked view of a complete graph, and work on that graph's scaled integer
 weights: the former greedily covers every broken cycle on at most five
-vertices and then verifies, the latter performs a single cubic raising sweep
-over the integer matrix in one numpy kernel.
+vertices and then verifies, the latter performs a single raising sweep over
+the integer matrix in one numpy kernel.  Each column's pass of the sweep
+first bounds, for all rows at once, the raise each row can get, and steps
+only the rows whose bound beats their entry.  The screen is exact because a
+pass raises only column ``k`` and its mirror row, so no row's bound rises
+before its step runs; on a metric matrix it passes no row.
 """
 
 from __future__ import annotations
@@ -187,7 +191,11 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
     For each column ``k`` and row ``i`` in order, the entry ``(i, k)`` is
     raised to ``max_j < i (D[i][j] - D[j][k])`` whenever that beats its current
     value, mirroring the update to ``(k, i)`` immediately.  The result is
-    metric and touches at most (n-1)(n-2) matrix cells.
+    metric and touches at most (n-1)(n-2) matrix cells.  Each column's pass
+    computes that maximum for every row up front and steps only the rows it
+    can raise; the bound is exact because the pass changes only column ``k``
+    and row ``k``, and only upward, so no row's maximum rises before its step
+    (``_sweep_numpy``).
 
     The sweep runs on the graph's scaled integer weights: a raised entry is a
     difference of two entries, so it never exceeds the largest one, and numpy
@@ -212,14 +220,30 @@ def repaired_cell_count(delta: RepairDelta) -> int:
 
 
 def _sweep_numpy(int_rows, dtype) -> list[list[int]]:
-    """The raising sweep on a symmetric integer matrix held as a ``dtype`` array."""
+    """The raising sweep on a symmetric integer matrix held as a ``dtype`` array.
+
+    Each column's pass first bounds every row's best raise in one vectorized
+    step, ``bound[i] = max_j < i (m[i, j] - m[j, k])`` over the strict lower
+    triangle, and then runs the per-row step, in order, only for the rows
+    whose bound beats ``m[i, k]``.  The screen is exact: during column ``k``'s
+    pass only column ``k`` and its mirror row ``k`` change, and only upward,
+    so no term of a row ``i != k`` rises before that row's step, and row ``k``
+    itself is never raised (its best is ``m[k, k] = 0`` by symmetry).  In
+    ``int64`` every term lies in (-2^62, 2^62).
+    """
     import numpy as np
 
     m = np.array(int_rows, dtype=dtype)
     n = len(int_rows)
+    if n < 2:
+        return m.tolist()
+    rows, cols = np.tril_indices(n, -1)  # row-major: row i holds j = 0..i-1
+    lower = rows * n + cols
+    starts = rows.searchsorted(np.arange(1, n))
     for k in range(n):
         col_k = m[:, k]
-        for i in range(1, n):
+        bound = np.maximum.reduceat(m.take(lower) - col_k.take(cols), starts)
+        for i in (np.flatnonzero(bound > col_k[1:]) + 1).tolist():
             best = int((m[i, :i] - col_k[:i]).max())
             if best > m[i, k]:
                 m[i, k] = best

@@ -74,8 +74,10 @@ def as_weight(value: WeightLike) -> Fraction:
 
 
 def _checked_weight(value: WeightLike) -> int | Fraction:
-    """``as_weight``, passing a nonnegative plain int through unconverted."""
-    return value if type(value) is int and value >= 0 else as_weight(value)
+    """``as_weight``, passing a nonnegative plain int or Fraction through unconverted."""
+    if type(value) in (int, Fraction) and value.numerator >= 0:
+        return value
+    return as_weight(value)
 
 
 def _scale_weights(weights: Mapping[Edge, int | Fraction], scale: int = 1,
@@ -122,9 +124,9 @@ class OmegaClass(Enum):
 
     def allows(self, delta: Fraction) -> bool:
         if self is OmegaClass.DECREASE_ONLY:
-            return delta <= 0
+            return delta.numerator <= 0
         if self is OmegaClass.INCREASE_ONLY:
-            return delta >= 0
+            return delta.numerator >= 0
         return True
 
     @classmethod
@@ -303,8 +305,9 @@ class RepairDelta:
             key = edge_key(*key)
             if key in normalized:
                 raise ValueError(f"duplicate delta entry {key}")
-            value = as_delta_value(value)
-            if value == 0:
+            if type(value) is not Fraction:
+                value = as_delta_value(value)
+            if not value.numerator:
                 continue
             if not omega.allows(value):
                 raise ValueError(
@@ -362,15 +365,20 @@ def apply_delta(g: WeightedGraph, delta: RepairDelta) -> WeightedGraph:
 
     Raises if the delta touches a non-edge or would make a weight negative.
     The sign class of each entry was already checked when the delta was built.
+    Each new weight is computed on the stored integers: ``x / scale + p / q``
+    is ``(x * q + p * scale) / (scale * q)``, one ``Fraction`` per entry that
+    ``replace_weights`` scales onto the store.
     """
+    scale, intw = g.integer_form()
     updated: dict[tuple[int, int], Fraction] = {}
     for (u, v), value in delta.items():
-        if not g.has_edge(u, v):
+        x = intw.get((u, v))
+        if x is None:
             raise ValueError(f"delta touches non-edge ({u},{v})")
-        new = g.weight(u, v) + value
-        if new < 0:
+        top = x * value.denominator + value.numerator * scale
+        if top < 0:
             raise ValueError(f"delta drives edge ({u},{v}) below zero")
-        updated[(u, v)] = new
+        updated[(u, v)] = Fraction(top, scale * value.denominator)
     return g.replace_weights(updated)
 
 

@@ -158,14 +158,24 @@ def _scaled_apsp(n: int, scale: int, intw: dict[tuple[int, int], int]) -> ApspRe
     """
     if not _is_dense(n, len(intw)):
         return ApspResult(n, scale, intw)
-    sentinel = max(intw.values(), default=0) * max(n, 1) + 1
-    if sentinel < _INT64_SAFE and n >= _NUMPY_MIN_N:
-        return ApspResult(n, scale, intw, _dense_int_numpy(n, intw, sentinel))
-    return ApspResult(n, scale, intw, _dense_int_python(n, intw, sentinel))
+    kernel = _dense_int_numpy if _numpy_kernel_runs(n, intw) else _dense_int_python
+    return ApspResult(n, scale, intw, kernel(n, intw, _sentinel(n, intw)))
+
+
+def _numpy_kernel_runs(n: int, intw: dict[tuple[int, int], int]) -> bool:
+    """Whether shortest paths on this edge map run the numpy kernel: the dense
+    engine on a large instance whose distances fit comfortably in int64."""
+    return (_is_dense(n, len(intw)) and n >= _NUMPY_MIN_N
+            and _sentinel(n, intw) < _INT64_SAFE)
 
 
 def _is_dense(n: int, m: int) -> bool:
     return m > n * n / 4
+
+
+def _sentinel(n: int, intw) -> int:
+    # Longer than any simple path: the dense kernels' "unreached" value.
+    return max(intw.values(), default=0) * max(n, 1) + 1
 
 
 # -- dense engine -----------------------------------------------------------

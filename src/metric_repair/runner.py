@@ -16,6 +16,7 @@ from .graphs import (
     WeightedGraph,
     apply_delta,
 )
+from .paths import _numpy_kernel_runs
 
 ALGORITHMS = ("dmr", "fpt", "spc", "gspc", "5cc", "iomr", "oracle")
 
@@ -30,6 +31,7 @@ ALGO_OMEGAS = {
 }
 
 _MATRIX_ONLY = ("5cc", "iomr")
+_WHOLE_GRAPH_APSP = ("dmr", "spc", "gspc", "5cc")
 
 
 class NoSolutionError(MetricRepairError):
@@ -73,7 +75,12 @@ def run_algo(instance, omega: OmegaClass, algo: str,
     if algo in _MATRIX_ONLY:
         matrix = DistanceMatrix.from_graph(graph)  # raises unless complete
 
-    # A solver module loads only for the algorithm that runs, before the clock.
+    # A solver module loads only for the algorithm that runs, before the clock,
+    # and so does numpy when the solve would load it: the sweep always runs on
+    # it, and these solvers start with shortest paths of the whole graph.
+    if algo == "iomr" or (algo in _WHOLE_GRAPH_APSP
+                          and _numpy_kernel_runs(graph.n, graph.integer_form()[1])):
+        import numpy
     if algo == "fpt":
         from .fpt import fpt_min_repair
     elif algo == "oracle":

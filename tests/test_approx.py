@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metric_repair import (
@@ -399,12 +400,16 @@ def fraction_sweep(d):
                        OmegaClass.INCREASE_ONLY)
 
 
+def symmetric_rows(n: int, weights: dict) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), w in weights.items():
+        rows[i][j] = rows[j][i] = w
+    return rows
+
+
 def scaled_rows(d):
     scale, intw = d.to_graph().integer_form()
-    rows = [[0] * d.n for _ in range(d.n)]
-    for (i, j), w in intw.items():
-        rows[i][j] = rows[j][i] = w
-    return scale, rows
+    return scale, symmetric_rows(d.n, intw)
 
 
 def test_sweep_numpy_kernel_matches_python():
@@ -429,6 +434,78 @@ def test_sweep_numpy_kernel_matches_python():
             assert _sweep_numpy(int_rows, "int64") == expected
         raised += reference.norm0() > 0
     assert raised >= len(matrices) - 2
+
+
+def per_row_sweep(int_rows, dtype) -> list[list[int]]:
+    """The raising sweep with every row stepped, unscreened: the reference for
+    the kernel, which runs this same step on the rows its screen keeps."""
+    import numpy as np
+
+    m = np.array(int_rows, dtype=dtype)
+    n = len(int_rows)
+    for k in range(n):
+        col_k = m[:, k]
+        for i in range(1, n):
+            best = int((m[i, :i] - col_k[:i]).max())
+            if best > m[i, k]:
+                m[i, k] = best
+                m[k, i] = best
+    return m.tolist()
+
+
+@st.composite
+def sweep_inputs(draw):
+    # Symmetric matrices with a zero diagonal on up to 14 vertices, weights
+    # from a small range (zeros and ties) or a wide one, and optionally one
+    # entry at 2**62 - 1, the largest the int64 guard admits.
+    n = draw(st.integers(min_value=0, max_value=14))
+    top = draw(st.sampled_from((0, 1, 3, 10 ** 6)))
+    pairs = list(combinations(range(n), 2))
+    weights = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
+    rows = symmetric_rows(n, dict(zip(pairs, weights)))
+    if pairs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(pairs))
+        rows[i][j] = rows[j][i] = 2 ** 62 - 1
+    return rows
+
+
+# Every entry 1 except one at 2**62 - 1: all its triangles are broken.
+@example(symmetric_rows(6, {e: 2 ** 62 - 1 if e == (0, 5) else 1
+                            for e in combinations(range(6), 2)}))
+@given(sweep_inputs())
+@settings(max_examples=300, deadline=None)
+def test_screened_sweep_equals_the_per_row_sweep(rows):
+    expected = per_row_sweep(rows, object)
+    assert _sweep_numpy(rows, object) == expected
+    assert _sweep_numpy(rows, "int64") == per_row_sweep(rows, "int64") == expected
+
+
+class _CountedInt(int):
+    """An int that counts the subtractions it starts (results are plain ints)."""
+
+    count = 0
+
+    def __sub__(self, other):
+        _CountedInt.count += 1
+        return int(self) - other
+
+
+@pytest.mark.parametrize("d", [
+    DistanceMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    DistanceMatrix(symmetric_rows(9, dict.fromkeys(combinations(range(9), 2), 0))),
+    DistanceMatrix(symmetric_rows(9, dict.fromkeys(combinations(range(9), 2), 1))),
+    planted_complete(24, 0, seed=3).instance,
+], ids=["triangle", "zeros", "ones", "planted24"])
+def test_sweep_steps_no_row_of_a_metric_matrix(d):
+    # On a metric matrix every bound is at most its entry (triangle
+    # inequality, the j = k term meeting it), so each column's pass is the
+    # screen alone: one subtraction per strict lower-triangle entry.
+    n = d.n
+    _, int_rows = scaled_rows(d)
+    counted = [[_CountedInt(x) for x in row] for row in int_rows]
+    _CountedInt.count = 0
+    assert _sweep_numpy(counted, object) == int_rows
+    assert _CountedInt.count == n * (n * (n - 1) // 2)
 
 
 def test_sweep_kernel_choice_at_int64_guard(monkeypatch):

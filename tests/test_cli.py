@@ -397,6 +397,44 @@ def test_small_cli_runs_load_only_their_own_modules(tmp_path, args, needs_approx
     assert loaded == (["metric_repair.approx"] if needs_approx else [])
 
 
+_CLOCK_PROBE = ("import sys, time, types\n"
+                "import metric_repair.runner as runner\n"
+                "from metric_repair.cli import main\n"
+                "seen = []\n"
+                "def clock():\n"
+                "    seen.append('numpy' in sys.modules)\n"
+                "    return time.perf_counter()\n"
+                "runner.time = types.SimpleNamespace(perf_counter=clock)\n"
+                "status = main(sys.argv[1:])\n"
+                "print('at-start:', seen[0], 'after:', 'numpy' in sys.modules, 'exit:', status)\n")
+
+
+@pytest.mark.parametrize("n, algo, omega, at_start, after", [
+    (70, "iomr", "increase", True, True),
+    (8, "iomr", "increase", True, True),
+    (70, "dmr", "decrease", True, True),
+    (70, "spc", "increase", True, True),
+    (40, "dmr", "decrease", False, False),
+])
+def test_solve_clock_starts_after_any_numpy_import(tmp_path, n, algo, omega, at_start, after):
+    # ``time_ms`` holds no import: numpy is loaded before the runner's clock
+    # starts when the solve needs it (the sweep, or the numpy shortest-path
+    # kernel at n >= 64), and not at all otherwise.
+    from metric_repair.fileio import serialize_matrix_csv
+    from metric_repair.gadgets import planted_complete
+
+    matrix = planted_complete(n, 2, seed=1).instance.to_graph()
+    write(tmp_path / "m.csv", serialize_matrix_csv(matrix))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    args = ["repair", "m.csv", "--omega", omega, "--algo", algo]
+    run = subprocess.run([sys.executable, "-c", _CLOCK_PROBE, *args],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    last = run.stdout.splitlines()[-1]
+    assert last == f"at-start: {at_start} after: {after} exit: 0", run.stderr
+
+
 def test_detect_into_a_closed_pipe_keeps_its_exit_code(tmp_path):
     # 104,371 triangle lines, 3.76 MB: far more than a pipe buffer holds, so
     # detect is still writing when the reader goes away after two lines.

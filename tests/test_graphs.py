@@ -108,6 +108,36 @@ def test_apply_delta_inverts_and_composes():
     assert apply_delta(g, merged) == apply_delta(apply_delta(g, delta), other)
 
 
+def test_apply_delta_error_messages():
+    g = WeightedGraph(3, [(0, 1, 2), (1, 2, Fraction(1, 3))])
+    with pytest.raises(ValueError, match=r"^delta touches non-edge \(0,2\)$"):
+        apply_delta(g, RepairDelta({(2, 0): 1}, OmegaClass.INCREASE_ONLY))
+    below = RepairDelta({(1, 2): Fraction(-1, 2)}, OmegaClass.DECREASE_ONLY)  # 1/3 - 1/2 < 0
+    with pytest.raises(ValueError, match=r"^delta drives edge \(1,2\) below zero$"):
+        apply_delta(g, below)
+    to_zero = apply_delta(g, RepairDelta({(1, 2): Fraction(-1, 3)}, OmegaClass.DECREASE_ONLY))
+    assert to_zero.integer_form() == (1, {(0, 1): 2, (1, 2): 0})
+
+
+def test_repair_delta_coerces_ints_strings_and_fractions():
+    d = RepairDelta({(1, 0): 2, (1, 2): "3/4", (0, 2): Fraction(5, 6), (2, 3): "0",
+                     (0, 3): Fraction(0), (1, 3): 0, (3, 4): "-0"}, OmegaClass.INCREASE_ONLY)
+    assert list(d.items()) == [((0, 1), 2), ((0, 2), Fraction(5, 6)), ((1, 2), Fraction(3, 4))]
+    assert all(type(v) is Fraction for _, v in d.items())
+    with pytest.raises(TypeError):
+        RepairDelta({(0, 1): 0.5}, OmegaClass.GENERAL)
+    for value, text in ((Fraction(1, 2), "1/2"), ("1/2", "1/2"), (3, "3")):
+        with pytest.raises(ValueError, match=rf"^delta {text} on \(0, 1\) violates "
+                                             r"sign class decrease$"):
+            RepairDelta({(1, 0): value}, OmegaClass.DECREASE_ONLY)
+    with pytest.raises(ValueError, match=r"^delta -3 on \(1, 2\) violates sign class increase$"):
+        RepairDelta({(1, 2): -3}, OmegaClass.INCREASE_ONLY)
+    for value in (Fraction(0), Fraction(-1, 7), 0, 2):
+        assert OmegaClass.DECREASE_ONLY.allows(value) == (value <= 0)
+        assert OmegaClass.INCREASE_ONLY.allows(value) == (value >= 0)
+        assert OmegaClass.GENERAL.allows(value)
+
+
 def test_witness_check_accepts_and_rejects():
     c4 = WeightedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     BrokenCycleWitness(cycle=(0, 1, 2, 3), top_edge=(0, 1)).check(c4)
@@ -260,6 +290,43 @@ def test_replace_weights_grows_and_shrinks_the_scale_past_2_to_62():
         wide = wide.replace_weights(new)
         assert wide.integer_form() == expected
     assert wide.integer_form() == (1, {(0, 1): 4, (1, 2): 3, (2, 3): 0, (0, 3): 7})
+
+
+def apply_by_fractions(g, delta):
+    """Reference: each new weight as a ``Fraction`` sum, then ``replace_weights``."""
+    return g.replace_weights({e: g.weight(*e) + value for e, value in delta.items()})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_apply_delta_matches_a_fraction_reference(seed):
+    # Targets drawn over other denominators than the graph's (odd seeds add
+    # three primes whose product passes 2^62), integers that can shrink the
+    # scale, and exact zeros; each delta is target minus weight.
+    rng = random.Random(5000 + seed)
+    big = _BIG_PRIMES if seed % 2 else ()
+    value = lambda dens: Fraction(rng.choice((0, rng.randrange(60))), rng.choice(dens))
+    n = rng.randint(3, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = WeightedGraph(n, [(u, v, value((1, 2, 4, 8, *big))) for u, v in pairs])
+    for _ in range(5):
+        touched = rng.sample(g.edges, rng.randint(0, g.m))
+        targets = {e: rng.choice((0, rng.randrange(9), value((1, 3, 5, 10, 12, *big))))
+                   for e in touched}
+        delta = RepairDelta({e: t - g.weight(*e) for e, t in targets.items()},
+                            OmegaClass.GENERAL)
+        applied = apply_delta(g, delta)
+        expected = apply_by_fractions(g, delta)
+        scale, intw = applied.integer_form()
+        assert (scale, list(intw.items())) == \
+            (expected.integer_form()[0], list(expected.integer_form()[1].items()))
+        assert all(applied.weight(*e) == t for e, t in targets.items())
+        g = applied
+    if big:
+        wide = g.replace_weights(dict(zip(g.edges, (Fraction(1, p) for p in big))))
+        assert wide.integer_form()[0] > 2 ** 62
+        delta = RepairDelta({e: 1 - wide.weight(*e) for e in wide.edges[:3]},
+                            OmegaClass.GENERAL)
+        assert apply_delta(wide, delta) == apply_by_fractions(wide, delta)
 
 
 _exact_values = st.fractions(min_value=0, max_value=8, max_denominator=12)
