@@ -1,15 +1,20 @@
 """Approximation algorithms for increase-only and general repair.
 
-``shortest_path_cover`` works in batches.  Each batch walks the remaining
+``shortest_path_cover`` works in batches.  Each batch walks the candidate
 edges in sorted order, takes the canonical shortest path of every edge whose
 path is strictly shorter than the edge, and skips a path that shares an edge
 with what the batch has already claimed.  The claimed edges move into the
 support and out of the working graph, the next batch recomputes the paths,
-and the loop ends with a batch that claims nothing.  Every broken cycle ends
-up with a bottom edge in the support, so the closing Verifier call always
-accepts in increase-only mode, with at most (L * OPT) support edges where L+1
-bounds the broken-cycle length.  The general variant also claims each taken
-path's closing edge, for an (L+1) * OPT bound.
+and the loop ends with a batch that claims nothing.  The first batch's
+candidates are all edges; each later batch's are the edges the batch before
+it found broken and did not claim.  Dropping the others is sound: deleting
+edges only raises distances, and an edge still in the working graph is a
+path of its own weight, so an edge whose distance equals its weight keeps
+that.  Every broken cycle ends up with a bottom edge in the support, so the
+closing Verifier call always accepts in increase-only mode, with at most
+(L * OPT) support edges where L+1 bounds the broken-cycle length.  The
+general variant also claims each taken path's closing edge, for an
+(L+1) * OPT bound.
 
 ``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, the
 checked view of a complete graph, and work on that graph's scaled integer
@@ -76,15 +81,18 @@ def _path_cover(g: WeightedGraph, close_cycle: bool, omega: OmegaClass) -> Appro
     batches: list[tuple] = []
     scale, intw = g.integer_form()
     working = dict(intw)
+    candidates = sorted(working)
     iterations = 0
     while True:
         iterations += 1
         d = _scaled_apsp(g.n, scale, working)
         batch = []
+        broken = []
         claimed: set = set()
-        for (u, v), w in sorted(working.items()):
-            if d.edge(u, v) >= w:
+        for u, v in candidates:
+            if d.edge(u, v) >= working[(u, v)]:
                 continue
+            broken.append((u, v))
             path = d.path(u, v)
             path_edges = {edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)}
             if path_edges & claimed:
@@ -98,6 +106,7 @@ def _path_cover(g: WeightedGraph, close_cycle: bool, omega: OmegaClass) -> Appro
         support |= claimed
         for e in claimed:
             del working[e]
+        candidates = [e for e in broken if e in working]
         batches.append(tuple(batch))
 
     outcome = verify_support(g, support, omega)

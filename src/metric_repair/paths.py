@@ -34,12 +34,24 @@ vertex's distance and parent are fixed when it is popped, so every settled
 vertex -- each edge's far end among them, since ``d(u, v) <= w(u, v)`` --
 gets exactly the distance and canonical parent the full search gives it.
 ``path(u, v)`` walks that bounded tree when it settled ``v``.
+
+A search scans only the arcs within its stop distance.  Without filled rows
+each adjacency list is sorted by weight, so a search leaves a list at its
+first arc that reaches past the stop distance.  That is exact: such an arc
+can be neither an improvement nor a tie (every distance the search sets is
+within the stop distance), and every later arc in the list is heavier.  A
+full search stops at ``_sentinel``, longer than any simple path, so it never
+leaves a list early.  A result with filled rows answers every edge read from
+them and builds its lists for full searches only, so it leaves them
+unsorted: sorting there would cost time on every dense path read and save
+no arc.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import itemgetter
 
 from .graphs import WeightedGraph
 
@@ -55,30 +67,45 @@ class ApspResult:
     any source, come from one search the first time either is read; an edge
     read on an unfilled row runs the bounded search (module docstring) once
     per source instead.  The searches' adjacency lists are built from
-    ``intw`` by the first search, not up front.
+    ``intw`` by the first search, not up front.  Without filled rows they are
+    sorted by weight, and the same pass records each source's stop distance;
+    with filled rows they serve full searches only and stay unsorted.
     """
 
-    __slots__ = ("scale", "intw", "_rows", "_adj", "_parents", "_near")
+    __slots__ = ("scale", "intw", "_rows", "_adj", "_stops", "_bound", "_parents", "_near")
 
     def __init__(self, n: int, scale: int, intw: dict, rows: list | None = None):
         self.scale = scale
         self.intw = intw
         self._rows = rows or [None] * n
         self._adj: list[list[tuple[int, int]]] | None = None
+        self._stops: list[int] | None = None
+        self._bound = 0
         self._parents: dict[int, tuple[int | None, ...]] = {}
-        self._near: dict[int, tuple[list[int | None], tuple[int | None, ...]]] = {}
+        self._near: dict[int, tuple[list[int | None], list[int | None]]] = {}
 
     def _adjacency(self) -> list[list[tuple[int, int]]]:
-        """``(neighbour, scaled weight)`` lists, built for the first search."""
+        """``(scaled weight, neighbour)`` lists, built for the first search."""
         if self._adj is None:
-            self._adj = [[] for _ in self._rows]
-            for (u, v), w in self.intw.items():
-                self._adj[u].append((v, w))
-                self._adj[v].append((u, w))
+            n = len(self._rows)
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            items, stops = self.intw.items(), None
+            if n and self._rows[0] is None:  # the dense engine fills every row or none
+                items = sorted(items, key=itemgetter(1))
+                stops = self._stops = [0] * n
+            for (u, v), w in items:
+                adj[u].append((w, v))
+                adj[v].append((w, u))
+                if stops is not None:
+                    stops[u] = w  # ascending: ends at u's heaviest edge to a larger id
+            self._bound = _sentinel(n, self.intw)
+            self._adj = adj
         return self._adj
 
     def _search(self, u: int) -> None:
-        self._rows[u], self._parents[u] = _dijkstra(self._adjacency(), u, None)
+        adj = self._adjacency()
+        self._rows[u], parent = _dijkstra(adj, u, self._bound)
+        self._parents[u] = tuple(parent)
 
     def edge(self, u: int, v: int) -> int:
         """Scaled distance between the ends of the edge ``(u, v)``, ``u < v``.
@@ -91,8 +118,7 @@ class ApspResult:
             near = self._near.get(u)
             if near is None:
                 adj = self._adjacency()
-                limit = max(w for x, w in adj[u] if x > u)
-                near = self._near[u] = _dijkstra(adj, u, limit)
+                near = self._near[u] = _dijkstra(adj, u, self._stops[u])
             row = near[0]
         return row[v]
 
@@ -227,12 +253,15 @@ def _unreached_to_none(rows: list[list[int]], sentinel: int) -> list[list[int | 
 
 
 def _dijkstra(adj: list[list[tuple[int, int]]], source: int,
-              limit: int | None) -> tuple[list[int | None], tuple[int | None, ...]]:
+              limit: int) -> tuple[list[int | None], list[int | None]]:
     # Distances and the canonical tree (rule in the module docstring) at once.
-    # Settled vertices are never relaxed again, so the source keeps no parent.
-    # A ``limit`` skips every improvement past it: only vertices within it get
-    # a distance, and one within it would have replaced a skipped value by a
-    # strictly smaller one (resetting its parent) anyway.
+    # Only vertices within ``limit`` get a distance.  A list is left at its
+    # first arc past the limit: that arc would change nothing (every set
+    # distance is within the limit, so it is neither an improvement nor a
+    # tie), and on a sorted list every later arc is heavier.  A full search's
+    # limit exceeds every path, so its lists need no order.  A settled vertex
+    # can only tie, never improve, so the settled check sits in the tie
+    # branch, ahead of the parent comparison: the source keeps no parent.
     dist: list[int | None] = [None] * len(adj)
     parent: list[int | None] = [None] * len(adj)
     done = [False] * len(adj)
@@ -244,17 +273,15 @@ def _dijkstra(adj: list[list[tuple[int, int]]], source: int,
         if done[u]:
             continue
         done[u] = True
-        for v, w in adj[u]:
-            if done[v]:
-                continue
+        for w, v in adj[u]:
             alt = du + w
+            if alt > limit:
+                break
             dv = dist[v]
             if dv is None or alt < dv:
-                if limit is not None and alt > limit:
-                    continue
                 dist[v] = alt
                 parent[v] = u
                 push(heap, (alt, v))
-            elif alt == dv and u < parent[v]:
+            elif alt == dv and not done[v] and u < parent[v]:
                 parent[v] = u
-    return dist, tuple(parent)
+    return dist, parent

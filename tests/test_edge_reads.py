@@ -1,10 +1,12 @@
 """Edge reads: bounded searches against full rows and full trees.
 
 ``ApspResult.edge(u, v)`` answers from a search that stops once every vertex
-within ``u``'s heaviest edge to a larger id is settled.  These tests hold it,
-and every caller that only reads edges, to references that read full rows
-filled by the Python dense kernel and trees from the settle-one-at-a-time
-reference in ``conftest``.
+within ``u``'s heaviest edge to a larger id is settled, and leaves each
+weight-sorted adjacency list at its first arc past that distance.  These
+tests hold it, the search kernel at any stop distance, and every caller that
+only reads edges, to references that read full rows filled by the Python
+dense kernel and trees from the settle-one-at-a-time reference in
+``conftest``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,15 @@ from metric_repair import (
     shortest_path_cover,
     verify_support,
 )
-from metric_repair.gadgets import cycle_tight, metric_closure_weights, random_connected_graph
+from metric_repair import approx
+from metric_repair.gadgets import (
+    cycle_tight,
+    metric_closure_weights,
+    planted_complete,
+    random_connected_graph,
+)
 from metric_repair.graphs import edge_key
-from metric_repair.paths import ApspResult, _dense_int_python
+from metric_repair.paths import ApspResult, _dense_int_python, _scaled_apsp
 
 from conftest import canonical_parents, random_graph, tree_sweep_graphs
 
@@ -92,6 +100,56 @@ def test_edge_reads_match_full_rows_and_trees():
                     assert result.path(u, v) == full.path(u, v)
         count += 1
     assert count == 200
+
+
+def test_search_kernel_matches_the_reference_at_every_stop_distance():
+    # Stop distances 0, each distinct distance from the source (vertices tied
+    # exactly at the limit included) and the full search's bound, on the
+    # weight-sorted lists edge reads walk: the search settles exactly the
+    # vertices within the limit, with the full distance and canonical parent,
+    # and gives every other vertex neither.
+    rng = random.Random(902)
+    count = 0
+    for g in tree_sweep_graphs():
+        scale, intw = g.integer_form()
+        for weights in (intw, _raised(intw, rng)):
+            full = _FullRows(g.n, weights)
+            result = ApspResult(g.n, scale, weights)
+            adj = result._adjacency()
+            for s in range(g.n):
+                drow, tree = full.rows[s], full.tree(s)
+                for limit in sorted({0, result._bound, *(x for x in drow if x is not None)}):
+                    dist, parent = paths._dijkstra(adj, s, limit)
+                    for x in range(g.n):
+                        within = drow[x] is not None and drow[x] <= limit
+                        expected = (drow[x], tree[x]) if within else (None, None)
+                        assert (dist[x], parent[x]) == expected, (s, limit, x)
+                    count += 1
+    assert count > 2000
+
+
+def test_filled_rows_answer_edge_reads_and_leave_their_lists_unsorted(monkeypatch):
+    # The break needs weight-sorted lists and a stop distance; a dense result
+    # has neither, so its edge reads must come from its rows, and its lists,
+    # built by the first path read, serve full searches only.
+    g = planted_complete(40, 1, seed=3).instance.to_graph()
+    scale, intw = g.integer_form()
+    result = _scaled_apsp(g.n, scale, intw)
+    limits = []
+    real = paths._dijkstra
+    monkeypatch.setattr(paths, "_dijkstra",
+                        lambda adj, source, limit: limits.append(limit) or real(adj, source, limit))
+    broken = [(u, v) for (u, v), w in intw.items() if result.edge(u, v) < w]
+    assert broken and result._near == {} and result._adj is None and limits == []
+    u, v = broken[0]
+    assert result.path(u, v) is not None
+    assert limits == [paths._sentinel(g.n, intw)] and result._near == {}
+    assert result._stops is None
+    in_map_order: list[list] = [[] for _ in range(g.n)]
+    for (a, b), w in intw.items():
+        in_map_order[a].append((w, b))
+        in_map_order[b].append((w, a))
+    assert result._adj == in_map_order != [sorted(arcs) for arcs in in_map_order]
 
 
 # -- solvers against full-row references ---------------------------------------
@@ -217,3 +275,63 @@ def test_edge_checks_on_the_tight_cycle_settle_few_vertices(monkeypatch):
     settled.clear()
     assert is_metric(repaired)  # reads every edge: one search per source but n - 1
     assert len(settled) == n - 1 and sum(settled) <= 4 * n
+
+
+def test_bounded_search_leaves_a_heavy_hub_list_at_its_first_arc():
+    # Vertex 0's one edge is a light edge to hub 1, which also has 1,000 heavy
+    # edges.  Reading (0, 1) searches from 0 up to distance 1: at the hub the
+    # first arc, the light one back to 0, already reaches past it.
+    g = WeightedGraph(1002, [(0, 1, 1)] + [(1, x, 100) for x in range(2, 1002)])
+    scale, intw = g.integer_form()
+    result = ApspResult(g.n, scale, intw)
+    adj = result._adjacency()
+    scanned = []
+
+    class CountingArcs(list):
+        def __iter__(self):
+            for arc in super().__iter__():
+                scanned.append(arc)
+                yield arc
+
+    adj[1] = CountingArcs(adj[1])
+    assert result.edge(0, 1) == 1
+    assert len(scanned) == 1
+
+
+def test_later_cover_batches_search_only_from_still_broken_edges(monkeypatch):
+    # A planted sparse graph whose covers take two batches.  Batch one
+    # searches from every source; each later batch searches once from each
+    # source of an edge the batch before found broken and left in the
+    # working graph, and from no other.
+    rng = random.Random(7)
+    n = 60
+    metric = metric_closure_weights(n, random_connected_graph(n, 3 * n, rng), rng, (1, 20))
+    weights = metric.integer_form()[1]
+    g = metric.replace_weights({e: rng.randrange(weights[e])
+                                for e in sorted(rng.sample(metric.edges, 6))})
+    maps, results, searches = [], [], []
+    real_apsp, real_search = approx._scaled_apsp, paths._dijkstra
+
+    def recording_apsp(n, scale, working):
+        maps.append(dict(working))
+        results.append(real_apsp(n, scale, working))
+        return results[-1]
+
+    def recording_search(adj, source, limit):
+        searches.append((adj, source))
+        return real_search(adj, source, limit)
+
+    monkeypatch.setattr(approx, "_scaled_apsp", recording_apsp)
+    monkeypatch.setattr(paths, "_dijkstra", recording_search)
+    for solver in (shortest_path_cover, general_shortest_path_cover):
+        del maps[:], results[:], searches[:]
+        report = solver(g)
+        assert len(report.batches) >= 2 and len(results) == report.iterations
+        sources = [[s for adj, s in searches if adj is r._adj] for r in results]
+        assert sorted(sources[0]) == sorted({u for (u, _) in maps[0]})
+        for before, after, later in zip(maps, maps[1:], sources[1:]):
+            full = _FullRows(n, before)
+            still_broken = {u for (u, v), w in before.items()
+                            if full.rows[u][v] < w and (u, v) in after}
+            assert sorted(later) == sorted(still_broken)
+        assert sum(map(len, sources[1:])) < len(sources[0]) // 4
