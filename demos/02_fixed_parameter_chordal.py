@@ -37,7 +37,7 @@ for k in range(4):
 print("\n== iterative deepening vs. brute force ==")
 for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
     auto = fpt_min_repair(g, omega)
-    oracle_support, _ = brute_force_opt(g, omega, method="cycles")
+    oracle_support, _ = brute_force_opt(g, omega)
     print(f"omega={omega.value:9s} fpt optimum {len(auto.support)}  "
           f"oracle optimum {len(oracle_support)}")
 

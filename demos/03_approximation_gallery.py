@@ -35,7 +35,7 @@ print("== greedy path cover on the tight cycle ==")
 for n in (5, 8, 12):
     g = cycle_tight(n)
     report = shortest_path_cover(g)
-    opt = len(brute_force_opt(g, OmegaClass.INCREASE_ONLY, method="cycles")[0])
+    opt = len(brute_force_opt(g, OmegaClass.INCREASE_ONLY)[0])
     print(f"n={n:2d}: cover={len(report.support):2d} edges, optimum={opt},"
           f" ratio={len(report.support) / opt:.0f} (= longest cycle - 1)")
 

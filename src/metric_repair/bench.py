@@ -1,9 +1,9 @@
 """Benchmark suites feeding the CLI's ``bench`` subcommand.
 
 Each suite yields one CSV row per (instance, algorithm) pair.  Optimal sizes
-are filled in when an exact oracle is affordable: subset enumeration inside
-the edge limit, branch-and-bound covering beyond it.  All randomness is
-seed-fixed, so repeated runs produce identical CSV bodies (timings aside).
+come from the exact oracle ``minimum_cycle_cover``; matrix rows count them
+in cells, two per pair.  All randomness is seed-fixed, so repeated runs
+produce identical CSV bodies (timings aside).
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 from typing import NamedTuple
 
-from .graphs import DistanceMatrix, OmegaClass, WeightedGraph
-from .oracle import DEFAULT_EDGE_LIMIT, brute_force_opt, minimum_cycle_cover
+from .graphs import OmegaClass, WeightedGraph
+from .oracle import minimum_cycle_cover
 from .gadgets import (
     GadgetInstance,
     base_graph_edges,
@@ -88,31 +88,7 @@ def _row(label: str, kind: str, instance, omega: OmegaClass, algo: str,
 
 
 def _oracle_size(graph: WeightedGraph, omega: OmegaClass) -> int:
-    """Exact optimum, choosing the cheapest affordable exact method."""
-    if graph.m <= DEFAULT_EDGE_LIMIT:
-        found = brute_force_opt(graph, omega, method="cycles")
-        assert found is not None
-        return len(found[0])
-    size, _ = minimum_cycle_cover(graph, omega)
-    return size
-
-
-def dense_block_optimum_pairs(d: DistanceMatrix, block: int) -> int:
-    """Exact optimum (in pairs) of the dense block gadget, by sandwiching.
-
-    The minimum bottom-cover of the broken triangles alone is a lower bound;
-    rewriting the zero block to index distances is a feasible repair whose
-    support the Verifier accepts, an upper bound.  The two match on this
-    gadget, pinning the optimum without enumerating all cycles of K_n.
-    """
-    from .exact import verify_support
-
-    g = d.to_graph()
-    lower, _ = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY, max_cycle_len=3)
-    support = [(i, j) for i in range(block) for j in range(i + 1, block)]
-    outcome = verify_support(g, support, OmegaClass.INCREASE_ONLY)
-    assert outcome.accepted and lower == len(support)
-    return lower
+    return minimum_cycle_cover(graph, omega)[0]
 
 
 def suite_table1() -> list[BenchRow]:
@@ -178,14 +154,12 @@ def suite_ratios() -> list[BenchRow]:
     d = dense_block_matrix(10, 4)
     rows.append(_row("dense-gamma-n10-k4", "DenseGamma", d,
                      OmegaClass.INCREASE_ONLY, "iomr",
-                     opt=2 * dense_block_optimum_pairs(d, 4)))
+                     opt=2 * _oracle_size(d.to_graph(), OmegaClass.INCREASE_ONLY)))
     for n in (5, 6, 8):
         d = sweep_worst_matrix(n)
-        opt = None
-        if d.to_graph().m <= DEFAULT_EDGE_LIMIT:
-            opt = 2 * _oracle_size(d.to_graph(), OmegaClass.INCREASE_ONLY)
         rows.append(_row(f"sweep-worst-n{n}", "IomrWorst", d,
-                         OmegaClass.INCREASE_ONLY, "iomr", opt=opt))
+                         OmegaClass.INCREASE_ONLY, "iomr",
+                         opt=2 * _oracle_size(d.to_graph(), OmegaClass.INCREASE_ONLY)))
     base = base_graph_edges("path", 4)
     g = suspension(4, base)
     rows.append(_row("suspension-path4", "VertexCoverSuspension", g,

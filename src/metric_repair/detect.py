@@ -116,7 +116,26 @@ def cover_masks(g: WeightedGraph, witnesses: Iterable[BrokenCycleWitness],
     return masks
 
 
-def simple_cycles(g: WeightedGraph, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+def packing_exceeds(masks: Iterable[int], hit: int, room: int) -> bool:
+    """Whether more than ``room`` of ``masks`` miss ``hit`` and pairwise share no edge.
+
+    Packs greedily in list order.  Each packed mask needs an edge of its own,
+    so when this returns True every support that contains ``hit`` and at most
+    ``room`` more edges misses some mask: the standard packing lower bound of
+    bounded search trees (Cygan et al., *Parameterized Algorithms*, 2015,
+    ch. 3).
+    """
+    blocked = hit
+    for mask in masks:
+        if not mask & blocked:
+            blocked |= mask
+            room -= 1
+            if room < 0:
+                return True
+    return room < 0
+
+
+def simple_cycles(g: WeightedGraph) -> Iterator[tuple[int, ...]]:
     """Every simple cycle of ``g``, once, in a canonical orientation.
 
     Cycles are emitted as vertex tuples starting at their smallest vertex with
@@ -124,7 +143,6 @@ def simple_cycles(g: WeightedGraph, max_len: int | None = None) -> Iterator[tupl
     grows exponentially; callers guard the size.
     """
     n = g.n
-    limit = n if max_len is None else min(max_len, n)
     path: list[int] = []
     on_path = [False] * n
 
@@ -133,7 +151,7 @@ def simple_cycles(g: WeightedGraph, max_len: int | None = None) -> Iterator[tupl
         for w in g.neighbors(v):
             if w == root and len(path) >= 3 and path[1] < path[-1]:
                 yield tuple(path)
-            elif w > root and not on_path[w] and len(path) < limit:
+            elif w > root and not on_path[w]:
                 path.append(w)
                 on_path[w] = True
                 yield from extend(root)
@@ -147,9 +165,9 @@ def simple_cycles(g: WeightedGraph, max_len: int | None = None) -> Iterator[tupl
         yield from extend(root)
 
 
-def broken_cycles(g: WeightedGraph, max_len: int | None = None) -> Iterator[BrokenCycleWitness]:
-    """All broken cycles (up to ``max_len`` edges), by exhaustive enumeration."""
-    for cycle in simple_cycles(g, max_len=max_len):
+def broken_cycles(g: WeightedGraph) -> Iterator[BrokenCycleWitness]:
+    """All broken cycles, by exhaustive enumeration."""
+    for cycle in simple_cycles(g):
         top = cycle_top_edge(g, cycle)
         if top is not None:
             yield BrokenCycleWitness(cycle=cycle, top_edge=top)

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .detect import broken_cycles
+from .detect import broken_cycles, cover_masks, edge_bits
 from .graphs import (
     EnumerationBudgetError,
     OmegaClass,
@@ -25,7 +25,7 @@ from .graphs import (
     WeightedGraph,
     edge_key,
 )
-from .paths import _scaled_apsp, apsp
+from .paths import ApspResult, _scaled_apsp, apsp
 
 Support = frozenset
 
@@ -63,6 +63,21 @@ def verify_support(g: WeightedGraph, support: Iterable[tuple[int, int]],
     decrease-only repair has a closed-form solver (``decrease_repair``) and is
     rejected as a precondition violation.
     """
+    return _verify(g, support, omega)[0]
+
+
+def _verify(g: WeightedGraph, support: Iterable[tuple[int, int]], omega: OmegaClass
+            ) -> tuple[VerifierOutcome, tuple[int, int] | None, ApspResult]:
+    """``verify_support``'s outcome, the edge it rejects at, and the raised paths.
+
+    A rejection at ``(u, v)`` names a broken cycle that the support misses:
+    ``BrokenCycleWitness(d.path(u, v), (u, v))`` on the returned result ``d``.
+    The edge's raised distance is below its weight, which is at most the
+    raised weight ``cap``, so the canonical path uses no support edge and
+    weighs what it weighs in ``g``.  The edge is outside the support (general
+    mode) or the path holds the cycle's bottom edges (increase mode), so the
+    cycle's ``cover_masks`` entry misses the support either way.
+    """
     if omega is OmegaClass.DECREASE_ONLY:
         raise PreconditionError("verify_support handles increase-only and general repairs")
     s = normalize_support(g, support)
@@ -78,11 +93,11 @@ def verify_support(g: WeightedGraph, support: Iterable[tuple[int, int]],
         if new == old:
             continue
         if (u, v) not in s:
-            return VerifierOutcome(None, RejectionReason.CHANGED_OUTSIDE_SUPPORT)
+            return VerifierOutcome(None, RejectionReason.CHANGED_OUTSIDE_SUPPORT), (u, v), d
         if omega is OmegaClass.INCREASE_ONLY and new < old:
-            return VerifierOutcome(None, RejectionReason.DECREASED_IN_INCREASE_MODE)
+            return VerifierOutcome(None, RejectionReason.DECREASED_IN_INCREASE_MODE), (u, v), d
         entries[(u, v)] = Fraction(new - old, scale)
-    return VerifierOutcome(RepairDelta(entries, omega), None)
+    return VerifierOutcome(RepairDelta(entries, omega), None), None, d
 
 
 def decrease_repair(g: WeightedGraph) -> RepairDelta:
@@ -117,12 +132,6 @@ def covers_broken_cycles(g: WeightedGraph, support: Iterable[tuple[int, int]],
     if g.n > budget:
         raise EnumerationBudgetError(
             f"cycle enumeration needs n <= {budget}, got n = {g.n}")
-    s = normalize_support(g, support)
-    for witness in broken_cycles(g):
-        if omega is OmegaClass.GENERAL:
-            if not any(e in s for e in witness.edges()):
-                return False
-        else:
-            if not any(e in s for e in witness.bottom_edges()):
-                return False
-    return True
+    bit = edge_bits(g)
+    hit = sum(bit[e] for e in normalize_support(g, support))
+    return all(mask & hit for mask in cover_masks(g, broken_cycles(g), omega))

@@ -19,10 +19,11 @@ broken triangle has a mask of the edges a repair can mend it on
 raising the top edge only widens the gap, and all three edges in the general
 case.  A support that misses a mask admits no repair, so the Verifier rejects
 it.  The node greedily packs masks that ``S`` misses and that share no edge
-with a mask packed before; each packed mask needs an edge of its own, so once
-more than ``k - |S|`` are packed no leaf below can be accepted and the node is
-cut.  At a leaf the room is zero, so the Verifier runs only on supports that
-meet every mask.  Only subtrees without an accepted leaf are cut, so the
+with a mask packed before (``detect.packing_exceeds``, which the exact oracle
+shares); each packed mask needs an edge of its own, so once more than
+``k - |S|`` are packed no leaf below can be accepted and the node is cut.  At
+a leaf the room is zero, so the Verifier runs only on supports that meet
+every mask.  Only subtrees without an accepted leaf are cut, so the
 branching order, the first accepted support and its delta stay as they are
 without the bound.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chordal import perfect_elimination_ordering
-from .detect import broken_triangles, cover_masks, edge_bits
+from .detect import broken_triangles, cover_masks, edge_bits, packing_exceeds
 from .exact import verify_support
 from .graphs import (
     OmegaClass,
@@ -139,22 +140,6 @@ class _Triangles:
             mask ^= low
         return out
 
-    def packing_exceeds(self, hit: int, room: int) -> bool:
-        """Whether more than ``room`` masks missed by ``hit`` pairwise share no edge.
-
-        Packs greedily in triangle order.  When it returns True, every
-        support that contains ``hit`` and at most ``room`` more edges misses
-        a mask, and so admits no repair.
-        """
-        blocked = hit
-        for mask in self.masks:
-            if not mask & blocked:
-                blocked |= mask
-                room -= 1
-                if room < 0:
-                    return True
-        return room < 0
-
 
 def _fpt_solve(triangles: _Triangles, k: int, stats: FptStats) -> FptResult:
     g, omega = triangles.g, triangles.omega
@@ -218,7 +203,7 @@ class _Search:
     def cover(self, support: list, hit: int, expanded: frozenset, pool: list, in_pool: set):
         """First accepted support below this node; ``hit`` is ``support`` as a mask."""
         self.stats.nodes += 1
-        if self.triangles.packing_exceeds(hit, self.k - len(support)):
+        if packing_exceeds(self.triangles.masks, hit, self.k - len(support)):
             self.stats.pruned += 1
             return None
         if len(support) == self.k:

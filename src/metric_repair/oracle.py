@@ -1,24 +1,31 @@
-"""Brute-force optimum solvers used as ground truth in tests and benches.
+"""Exact optimum solvers used as ground truth in tests and benches.
+
+Both rest on the paper's support characterization: an increase-only or
+general support admits a repair exactly when it meets the cover mask
+(``detect.cover_masks``) of every broken cycle.  Neither enumerates those
+cycles.  A Verifier rejection names a broken cycle that the support misses
+(``exact._verify``), so the solvers learn masks from rejections as they go:
+an implicit hitting set (Karp, CPM 2010; Moreno-Centeno and Karp, *Oper.
+Res.* 61(2), 2013).
 
 ``brute_force_opt`` enumerates candidate supports by increasing cardinality
 (lexicographic within a cardinality) and returns the first feasible one, so
 the reported optimal support is deterministic even when many optima exist.
+Feasibility of a support is decided one of two ways:
 
-Feasibility of a support is decided one of three ways:
-
-* increase-only / general, ``method="verifier"`` -- run the cubic Verifier;
-* increase-only / general, ``method="cycles"`` -- enumerate every broken cycle
-  once and test that the support covers each of them (any edge in the general
-  case, a bottom edge in the increase case); equivalent to the Verifier but far
-  faster inside subset loops;
+* increase-only / general -- a support that misses a learned mask is
+  infeasible without a Verifier call; any other goes to the Verifier, and a
+  rejection learns the mask of the cycle it names.  Every feasible support
+  meets every learned mask, so the first accepted support and its repair are
+  those of a plain Verifier walk;
 * decrease-only -- assign every supported edge its original shortest-path
   distance and test the result for metricity.  Any decrease-only repair keeps
   each repaired edge at or below its original distance, so this entrywise
   maximal assignment is feasible exactly when some repair on the support is.
 
 ``minimum_cycle_cover`` solves the same covering problem by branch and bound
-instead of subset enumeration, which scales to denser instances where
-cardinality enumeration is hopeless.
+over learned masks, seeded with the broken triangles', instead of subset
+enumeration, so it scales past the enumeration's edge limit.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ import os
 from fractions import Fraction
 from itertools import combinations
 
-from .detect import broken_cycles, cover_masks, edge_bits, is_metric
-from .exact import verify_support
+from .detect import broken_triangles, cover_masks, edge_bits, is_metric, packing_exceeds
+from .exact import _verify
 from .graphs import (
+    BrokenCycleWitness,
     EnumerationBudgetError,
     InputFormatError,
     OmegaClass,
@@ -57,7 +65,6 @@ def brute_force_opt(
     omega: OmegaClass,
     max_support: int | None = None,
     edge_limit: int | None = None,
-    method: str = "verifier",
 ) -> tuple[frozenset, RepairDelta] | None:
     """Smallest feasible support with one concrete repair on it.
 
@@ -73,7 +80,7 @@ def brute_force_opt(
             f"support enumeration needs m <= {limit}, got m = {len(edges)}")
     if max_support is None:
         max_support = len(edges)
-    accept = _acceptance_test(g, omega, method)
+    accept = _acceptance_test(g, omega)
     for size in range(min(max_support, len(edges)) + 1):
         for combo in combinations(edges, size):
             result = accept(frozenset(combo))
@@ -86,19 +93,18 @@ def all_optimal_supports(
     g: WeightedGraph,
     omega: OmegaClass,
     edge_limit: int | None = None,
-    method: str = "verifier",
 ) -> tuple[int, tuple[frozenset, ...]]:
     """Optimal size together with *every* feasible support of that size."""
-    first = brute_force_opt(g, omega, edge_limit=edge_limit, method=method)
+    first = brute_force_opt(g, omega, edge_limit=edge_limit)
     assert first is not None  # full support is always feasible
     opt = len(first[0])
-    accept = _acceptance_test(g, omega, method)
+    accept = _acceptance_test(g, omega)
     found = [frozenset(combo) for combo in combinations(g.edges, opt)
              if accept(frozenset(combo)) is not None]
     return opt, tuple(found)
 
 
-def _acceptance_test(g: WeightedGraph, omega: OmegaClass, method: str):
+def _acceptance_test(g: WeightedGraph, omega: OmegaClass):
     if omega is OmegaClass.DECREASE_ONLY:
         base = apsp(g)
         weights = g.weight_map()
@@ -117,87 +123,80 @@ def _acceptance_test(g: WeightedGraph, omega: OmegaClass, method: str):
 
         return accept_decrease
 
-    if method == "verifier":
+    bit = edge_bits(g)
+    learned: list[int] = []
 
-        def accept_verifier(support: frozenset) -> RepairDelta | None:
-            outcome = verify_support(g, support, omega)
-            return outcome.delta
-
-        return accept_verifier
-
-    if method == "cycles":
-        requirements = _cover_requirements(g, omega)
-        edge_bit = edge_bits(g)
-
-        def accept_cycles(support: frozenset) -> RepairDelta | None:
-            mask = 0
-            for e in support:
-                mask |= edge_bit[e]
-            if all(req & mask for req in requirements):
-                outcome = verify_support(g, support, omega)
-                assert outcome.accepted  # covering and verifying coincide
-                return outcome.delta
+    def accept_learning(support: frozenset) -> RepairDelta | None:
+        hit = sum(bit[e] for e in support)
+        if not all(mask & hit for mask in learned):
             return None
+        delta, missed = _repair_or_missed_mask(g, support, omega)
+        if delta is None:
+            learned.append(missed)
+        return delta
 
-        return accept_cycles
-
-    raise ValueError(f"unknown oracle method {method!r}")
-
-
-def _cover_requirements(g: WeightedGraph, omega: OmegaClass,
-                        max_len: int | None = None) -> list[int]:
-    """``cover_masks`` of every broken cycle with up to ``max_len`` edges."""
-    return cover_masks(g, broken_cycles(g, max_len=max_len), omega)
+    return accept_learning
 
 
-def minimum_cycle_cover(
-    g: WeightedGraph,
-    omega: OmegaClass,
-    max_cycle_len: int | None = None,
-) -> tuple[int, frozenset]:
-    """Exact minimum cover of the broken cycles, by branch and bound.
+def _repair_or_missed_mask(g: WeightedGraph, support: frozenset,
+                           omega: OmegaClass) -> tuple[RepairDelta | None, int]:
+    """The Verifier's repair on ``support``; on a rejection, None and the
+    cover mask of the broken cycle it names, which ``support`` misses."""
+    outcome, top, d = _verify(g, support, omega)
+    if top is None:
+        return outcome.delta, 0
+    witness = BrokenCycleWitness(d.path(*top), top)
+    return None, cover_masks(g, [witness], omega)[0]
 
-    With ``max_cycle_len=None`` every broken cycle is enumerated, so the result
-    equals the true optimal support size for the given sign class.  Capping the
-    cycle length yields a lower bound on it instead (fewer constraints).
 
-    Branching picks the first unhit cycle (cycles sorted by candidate count)
-    and tries each of its admissible edges in index order, keeping the first
-    best cover found, so the result is deterministic.
+def minimum_cycle_cover(g: WeightedGraph, omega: OmegaClass) -> tuple[int, frozenset]:
+    """Exact optimal support size, and one optimal support, by lazy covering.
+
+    Starts from the broken triangles' cover masks, finds a minimum set of
+    edges meeting them all, and asks the Verifier about it.  A rejection adds
+    the mask of the cycle it names, and the search runs again.  Each round's
+    minimum meets only some of the broken cycles' masks, so it bounds the
+    optimum from below; the Verifier is exact, so the first accepted support
+    is optimal.
     """
     if omega is OmegaClass.DECREASE_ONLY:
         raise ValueError("covering characterizes increase-only and general repairs")
     edges = g.edges
-    requirements = _cover_requirements(g, omega, max_cycle_len)
-    if not requirements:
-        return 0, frozenset()
-    requirements.sort(key=lambda mask: (bin(mask).count("1"), mask))
-    full_mask = (1 << len(edges)) - 1
-    best: list = [len(edges) + 1, full_mask]
+    requirements = cover_masks(g, broken_triangles(g), omega)
+    while True:
+        size, chosen = _minimum_hitting_set(requirements, len(edges))
+        support = frozenset(e for i, e in enumerate(edges) if chosen >> i & 1)
+        delta, missed = _repair_or_missed_mask(g, support, omega)
+        if delta is not None:
+            return size, support
+        assert not missed & chosen  # so no round repeats a support
+        requirements.append(missed)
 
-    def first_unhit(chosen: int) -> int | None:
-        for req in requirements:
-            if not req & chosen:
-                return req
-        return None
+
+def _minimum_hitting_set(requirements: list[int], m: int) -> tuple[int, int]:
+    """Fewest of ``m`` edge bits meeting every mask in ``requirements``, as a mask.
+
+    Branch and bound: a node is cut when its count plus the greedy packing
+    bound (``detect.packing_exceeds``) cannot beat the best cover so far.
+    Branching picks the first unhit mask (masks sorted by size) and tries
+    each of its edges in index order, keeping the first best cover found, so
+    the result is deterministic.
+    """
+    requirements = sorted(requirements, key=lambda mask: (bin(mask).count("1"), mask))
+    best = [m + 1, (1 << m) - 1]
 
     def search(chosen: int, count: int) -> None:
-        if count >= best[0]:
+        if packing_exceeds(requirements, chosen, best[0] - 1 - count):
             return
-        req = first_unhit(chosen)
+        req = next((mask for mask in requirements if not mask & chosen), None)
         if req is None:
-            best[0] = count
-            best[1] = chosen
+            best[0], best[1] = count, chosen
             return
-        bit = 1
-        rem = req
-        while rem:
-            if rem & 1:
-                search(chosen | bit, count + 1)
-            rem >>= 1
-            bit <<= 1
+        while req:
+            low = req & -req
+            search(chosen | low, count + 1)
+            req ^= low
 
     search(0, 0)
-    assert best[0] <= len(edges)  # the full edge set always covers
-    support = frozenset(e for i, e in enumerate(edges) if best[1] >> i & 1)
-    return best[0], support
+    assert best[0] <= m  # the full edge set always covers
+    return best[0], best[1]

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from metric_repair import DistanceMatrix, WeightedGraph, edge_key
+from metric_repair import DistanceMatrix, WeightedGraph, edge_key, verify_support
 
 
 def random_graph(rng: random.Random, n: int, m: int,
@@ -182,3 +182,17 @@ def canonical_parents(n: int, intw: dict, drow: list, source: int) -> tuple:
         remaining.remove(best)
         relax_from(best)
     return tuple(parent)
+
+
+def verifier_subset_walk(g: WeightedGraph, omega):
+    """First support, by size then lexicographically, that the Verifier accepts.
+
+    The exact oracle's reference without learning: every subset goes to the
+    Verifier.  Returns the support and the Verifier's repair on it.
+    """
+    for size in range(g.m + 1):
+        for combo in combinations(g.edges, size):
+            outcome = verify_support(g, combo, omega)
+            if outcome.accepted:
+                return frozenset(combo), outcome.delta
+    raise AssertionError("the full edge set always admits a repair")

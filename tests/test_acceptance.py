@@ -101,7 +101,7 @@ def test_criterion_03_fpt_optimal_on_planted_chordal_instances():
         count += 1
         for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
             auto = fpt_min_repair(g, omega)
-            oracle = brute_force_opt(g, omega, method="cycles")
+            oracle = brute_force_opt(g, omega)
             assert len(auto.support) == len(oracle[0]), (seed, omega)
             bound = POOL_BOUND_FACTOR[omega] * auto.budget ** 2
             assert auto.stats.max_pool <= bound
@@ -113,7 +113,7 @@ def test_criterion_04_path_cover_tightness_on_heavy_cycles():
     for n in (5, 8, 12):
         g = cycle_tight(n)
         report = shortest_path_cover(g)
-        opt = brute_force_opt(g, OmegaClass.INCREASE_ONLY, method="cycles")
+        opt = brute_force_opt(g, OmegaClass.INCREASE_ONLY)
         assert len(report.support) == n - 1
         assert len(opt[0]) == 1
         ratio = Fraction(len(report.support), len(opt[0]))
@@ -134,9 +134,8 @@ def test_criterion_05_path_cover_bounds_never_violated():
             continue
         checked += 1
         ratio_l = longest - 1
-        inc_opt = len(brute_force_opt(g, OmegaClass.INCREASE_ONLY,
-                                      method="cycles")[0])
-        gen_opt = len(brute_force_opt(g, OmegaClass.GENERAL, method="cycles")[0])
+        inc_opt = len(brute_force_opt(g, OmegaClass.INCREASE_ONLY)[0])
+        gen_opt = len(brute_force_opt(g, OmegaClass.GENERAL)[0])
         spc = shortest_path_cover(g)
         gspc = general_shortest_path_cover(g)
         assert len(spc.support) <= ratio_l * inc_opt, seed
@@ -163,14 +162,14 @@ def test_criterion_07_dense_gadget_ratio_exact():
     sweep_cells = repaired_cell_count(matrix_sweep_repair(d))
     assert sweep_cells == 36
     g = d.to_graph()
-    # optimum sandwich: triangle-cover lower bound meets the explicit
-    # zero-block rewrite, which the Verifier accepts as an upper bound
-    lower, _ = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY, max_cycle_len=3)
+    # the exact optimum equals the explicit zero-block rewrite, which the
+    # Verifier accepts
+    opt, _ = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY)
     block_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     outcome = verify_support(g, block_pairs, OmegaClass.INCREASE_ONLY)
     assert outcome.accepted
-    assert lower == len(block_pairs) == 6
-    opt_cells = 2 * lower
+    assert opt == len(block_pairs) == 6
+    opt_cells = 2 * opt
     assert opt_cells == 12
     gamma = Fraction(4, 10)
     assert Fraction(sweep_cells, opt_cells) == 2 * (1 / gamma - 1) == 3
@@ -187,7 +186,7 @@ def test_criterion_08_suspension_equals_vertex_cover():
         g = suspension(n, base)
         vc = min_vertex_cover_size(n, base)
         for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
-            found = brute_force_opt(g, omega, method="cycles")
+            found = brute_force_opt(g, omega)
             assert len(found[0]) == vc, (n, base, omega)
         cases += 1
     _report("8", "50 random connected bases, both classes equal cover size")
@@ -197,7 +196,7 @@ def test_criterion_09_completion_blow_up():
     for n in range(4, 9):
         g = cycle_fig_one(n)
         for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
-            found = brute_force_opt(g, omega, method="cycles")
+            found = brute_force_opt(g, omega)
             assert len(found[0]) == 1, (n, omega)
     recorded = {}
     for n in (6, 8):
@@ -232,9 +231,7 @@ def test_criterion_10_every_solver_output_is_valid():
         if g.m <= 12:
             for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL,
                           OmegaClass.DECREASE_ONLY):
-                found = brute_force_opt(g, omega, method="cycles"
-                                        if omega is not OmegaClass.DECREASE_ONLY
-                                        else "verifier")
+                found = brute_force_opt(g, omega)
                 check(g, found[1], omega)
     rng = random.Random(27_000)
     for i in range(100):

@@ -67,7 +67,7 @@ def test_tight_cycle_hits_the_ratio_exactly():
         bottoms = {e for e in g.edges if e != (0, 1)}
         assert report.support == frozenset(bottoms)
         assert report.iterations == 2
-        opt = brute_force_opt(g, OmegaClass.INCREASE_ONLY, method="cycles")
+        opt = brute_force_opt(g, OmegaClass.INCREASE_ONLY)
         assert len(opt[0]) == 1
         ratio = len(report.support) / len(opt[0])
         assert ratio == longest_broken_cycle_len(g, budget=12) - 1
@@ -78,7 +78,7 @@ def test_general_variant_takes_the_whole_tight_cycle():
         g = cycle_tight(n)
         report = general_shortest_path_cover(g)
         assert report.support == frozenset(g.edges)
-        assert len(brute_force_opt(g, OmegaClass.GENERAL, method="cycles")[0]) == 1
+        assert len(brute_force_opt(g, OmegaClass.GENERAL)[0]) == 1
 
 
 def test_cover_bounds_against_oracle_on_random_instances():
@@ -88,8 +88,8 @@ def test_cover_bounds_against_oracle_on_random_instances():
         if longest is None:
             continue
         ratio_l = longest - 1
-        inc_opt = len(brute_force_opt(g, OmegaClass.INCREASE_ONLY, method="cycles")[0])
-        gen_opt = len(brute_force_opt(g, OmegaClass.GENERAL, method="cycles")[0])
+        inc_opt = len(brute_force_opt(g, OmegaClass.INCREASE_ONLY)[0])
+        gen_opt = len(brute_force_opt(g, OmegaClass.GENERAL)[0])
         spc = shortest_path_cover(g)
         gspc = general_shortest_path_cover(g)
         assert len(spc.support) <= ratio_l * inc_opt
@@ -354,8 +354,7 @@ def test_sweep_worst_case_optimum_is_far_smaller():
     # The power matrix needs only a couple of raises; record the oracle value
     # rather than trusting any closed form.
     d = sweep_worst_matrix(5)
-    opt, delta = brute_force_opt(d.to_graph(), OmegaClass.INCREASE_ONLY,
-                                 method="cycles")
+    opt, delta = brute_force_opt(d.to_graph(), OmegaClass.INCREASE_ONLY)
     assert 2 * len(opt) < (5 - 1) * (5 - 2)
 
 

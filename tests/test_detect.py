@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
 from metric_repair import (
     EnumerationBudgetError,
+    OmegaClass,
     WeightedGraph,
     broken_cycles,
     broken_triangles,
@@ -18,8 +19,10 @@ from metric_repair import (
     is_metric,
     longest_broken_cycle_len,
     simple_cycles,
+    verify_support,
 )
-from metric_repair.detect import cycle_top_edge
+from metric_repair.detect import cover_masks, cycle_top_edge, edge_bits
+from metric_repair.exact import RejectionReason, _verify
 from metric_repair.gadgets import planted_complete, random_chordal_edges
 from metric_repair.graphs import BrokenCycleWitness, _top_edge, edge_key
 
@@ -255,6 +258,33 @@ def test_witness_check_accepts_every_enumerated_broken_cycle():
             BrokenCycleWitness(witness.cycle, witness.top_edge).check(g)
             checked += 1
     assert checked >= 50
+
+
+def test_verifier_rejection_names_a_broken_cycle_the_support_misses():
+    # The rejecting edge (u, v) and the canonical u-v path of the raised graph
+    # close a broken cycle whose cover mask the support misses: the cycle the
+    # exact oracle learns from.
+    changed = RejectionReason.CHANGED_OUTSIDE_SUPPORT
+    decreased = RejectionReason.DECREASED_IN_INCREASE_MODE
+    rng = random.Random(7100)
+    reasons = {}
+    for g in chain(tree_sweep_graphs(), equivalence_graphs()):
+        bit = edge_bits(g)
+        for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
+            for size in sorted({0, min(1, g.m), g.m // 3, g.m // 2, max(g.m - 1, 0)}):
+                support = frozenset(rng.sample(g.edges, size))
+                outcome, top, d = _verify(g, support, omega)
+                assert outcome == verify_support(g, support, omega)
+                if outcome.accepted:
+                    assert top is None
+                    continue
+                witness = BrokenCycleWitness(d.path(*top), top)
+                witness.check(g)
+                (mask,) = cover_masks(g, [witness], omega)
+                assert not mask & sum(bit[e] for e in support), (g.edges, support, omega)
+                assert (top in support) == (outcome.reason is decreased)
+                reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
+    assert reasons[changed] >= 500 and reasons[decreased] >= 50, reasons
 
 
 def test_cycle_top_edge_equals_fraction_definition():

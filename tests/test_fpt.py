@@ -95,7 +95,7 @@ def test_planted_instances_match_oracle():
         for omega, solver in ((OmegaClass.INCREASE_ONLY, fpt_increase),
                               (OmegaClass.GENERAL, fpt_general)):
             auto = fpt_min_repair(g, omega)
-            oracle = brute_force_opt(g, omega, method="cycles")
+            oracle = brute_force_opt(g, omega)
             assert len(auto.support) == len(oracle[0]), (seed, omega)
             assert verify_support(g, auto.support, omega).accepted or \
                 auto.support == frozenset()
@@ -117,8 +117,7 @@ def test_forced_seed_edges_lie_in_every_optimal_support():
     for seed in range(40):
         inst = planted_chordal(n=7, k=2, seed=1000 + seed)
         g = inst.instance
-        opt, supports = all_optimal_supports(
-            g, OmegaClass.INCREASE_ONLY, method="cycles")
+        opt, supports = all_optimal_supports(g, OmegaClass.INCREASE_ONLY)
         if opt == 0:
             continue
         counts: dict = {}
@@ -210,11 +209,25 @@ def test_deep_planted_draws_reach_the_triangle_cover_optimum(n, k, seed, omega):
     # Without the packing bound each of these makes 3,000 to 35,000 Verifier calls.
     g = planted_chordal(n, k, seed=seed).instance
     result = fpt_min_repair(g, omega)
-    # Covering the broken triangles is necessary, so its minimum bounds the
-    # optimum from below; on a chordal graph it is also sufficient.
-    assert len(result.support) == minimum_cycle_cover(g, omega, 3)[0]
+    assert len(result.support) == minimum_cycle_cover(g, omega)[0]
     assert verify_support(g, result.support, omega).accepted
     assert result.stats.leaves <= 10
+
+
+@pytest.mark.parametrize("omega", BOTH_MODES)
+def test_optimum_equals_the_exact_cover_past_the_enumeration_limit(omega):
+    # The lazy exact cover reaches chordal draws with 36 to 141 edges, far
+    # past the subset walk's 24; sizes 1 to 7 occur across the sweep.
+    sizes = set()
+    for n in (20, 30, 40, 50, 60):
+        for seed in range(4):
+            g = planted_chordal(n, n // 10 + 2, seed=100 + seed).instance
+            result = fpt_min_repair(g, omega)
+            size, support = minimum_cycle_cover(g, omega)
+            assert len(result.support) == size, (n, seed)
+            assert verify_support(g, support, omega).accepted
+            sizes.add(size)
+    assert len(sizes) >= 5
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 20), n=st.integers(min_value=4, max_value=9),

@@ -50,10 +50,9 @@ def test_completed_cycle_blows_up_the_increase_optimum():
     for n in (5, 6):
         g = completed_cycle(n)
         assert g.is_complete()
-        inc = brute_force_opt(g, OmegaClass.INCREASE_ONLY,
-                              method="cycles", edge_limit=15)
+        inc = brute_force_opt(g, OmegaClass.INCREASE_ONLY, edge_limit=15)
         assert len(inc[0]) == n - 2
-        gen = brute_force_opt(g, OmegaClass.GENERAL, method="cycles", edge_limit=15)
+        gen = brute_force_opt(g, OmegaClass.GENERAL, edge_limit=15)
         assert len(gen[0]) == 1
     size, _ = minimum_cycle_cover(completed_cycle(8), OmegaClass.INCREASE_ONLY)
     assert size == 6
@@ -72,7 +71,7 @@ def test_suspension_matches_minimum_vertex_cover():
         g = suspension(n, edges)
         vc = min_vertex_cover_size(n, edges)
         for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
-            found = brute_force_opt(g, omega, method="cycles")
+            found = brute_force_opt(g, omega)
             assert len(found[0]) == vc, (family, n, omega)
 
 
@@ -128,7 +127,7 @@ def test_planted_chordal_properties():
         assert is_chordal(g)
         assert len(inst.planted_support) <= 3
         # the plant upper-bounds the optimum
-        found = brute_force_opt(g, OmegaClass.INCREASE_ONLY, method="cycles")
+        found = brute_force_opt(g, OmegaClass.INCREASE_ONLY)
         assert len(found[0]) <= len(inst.planted_support)
 
 
@@ -136,7 +135,7 @@ def test_planted_complete_is_complete_and_bounded_by_plant():
     inst = planted_complete(6, 2, seed=4)
     d = inst.instance
     assert isinstance(d, DistanceMatrix)
-    found = brute_force_opt(d.to_graph(), OmegaClass.INCREASE_ONLY, method="cycles")
+    found = brute_force_opt(d.to_graph(), OmegaClass.INCREASE_ONLY)
     assert len(found[0]) <= len(inst.planted_support)
 
 

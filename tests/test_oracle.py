@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metric_repair import (
     EnumerationBudgetError,
@@ -18,9 +20,15 @@ from metric_repair import (
     minimum_cycle_cover,
     verify_support,
 )
-from metric_repair.gadgets import cycle_fig_one
+from metric_repair import detect
+from metric_repair.gadgets import (
+    completed_cycle,
+    cycle_fig_one,
+    dense_block_matrix,
+    sweep_worst_matrix,
+)
 
-from conftest import random_mixed_instance
+from conftest import random_mixed_instance, verifier_subset_walk
 
 
 C5 = WeightedGraph(5, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)])
@@ -88,40 +96,80 @@ def test_edge_limit_env_var_must_be_an_integer(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: ") and "METRIC_REPAIR_ORACLE_EDGE_LIMIT" in err
 
 
-def test_verifier_and_cycle_methods_agree():
-    for seed in range(20):
-        g = random_mixed_instance(seed=600 + seed, max_n=6, max_m=10)
-        for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
-            a = brute_force_opt(g, omega, method="verifier")
-            b = brute_force_opt(g, omega, method="cycles")
-            assert a is not None and b is not None
-            assert a[0] == b[0]
-            assert a[1] == b[1]
+@st.composite
+def small_graphs(draw):
+    """n <= m <= 12 on 3-7 vertices, weights 0-6: zero weights and ties throughout."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          min_size=n, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=6),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
+@given(small_graphs(), st.sampled_from([OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL]))
+@settings(max_examples=150, deadline=None)
+@example(C5, OmegaClass.INCREASE_ONLY)
+@example(C5, OmegaClass.GENERAL)
+def test_learning_walk_equals_plain_verifier_walk(g, omega):
+    # Learned masks skip only supports the Verifier rejects, so the first
+    # accepted support, its repair and the set of all optima are the plain
+    # walk's.
+    support, delta = verifier_subset_walk(g, omega)
+    assert brute_force_opt(g, omega) == (support, delta)
+    opt, supports = all_optimal_supports(g, omega)
+    assert opt == len(support)
+    assert supports == tuple(frozenset(c) for c in combinations(g.edges, opt)
+                             if verify_support(g, c, omega).accepted)
 
 
 def test_branch_and_bound_matches_enumeration():
     for seed in range(20):
         g = random_mixed_instance(seed=700 + seed, max_n=6, max_m=10)
         for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
-            enum = brute_force_opt(g, omega, method="cycles")
+            enum = brute_force_opt(g, omega)
             size, support = minimum_cycle_cover(g, omega)
             assert size == len(enum[0])
             assert verify_support(g, support, omega).accepted
 
 
-def test_capped_cover_is_a_lower_bound():
-    for seed in range(10):
-        g = random_mixed_instance(seed=800 + seed, max_n=6, max_m=10)
-        full, _ = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY)
-        capped, _ = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY, max_cycle_len=3)
-        assert capped <= full
+def test_exact_oracles_never_enumerate_cycles(monkeypatch):
+    # Both learn broken cycles from Verifier rejections instead.
+    def refuse(*args, **kwargs):
+        raise AssertionError("simple_cycles was called")
+
+    monkeypatch.setattr(detect, "simple_cycles", refuse)
+    with pytest.raises(AssertionError):
+        next(detect.broken_cycles(C5))  # the hook is live
+    assert minimum_cycle_cover(completed_cycle(8), OmegaClass.INCREASE_ONLY)[0] == 6
+    graphs = [C5, cycle_fig_one(8), completed_cycle(6), sweep_worst_matrix(6).to_graph()]
+    graphs += [random_mixed_instance(seed=1200 + seed, max_n=7, max_m=12) for seed in range(10)]
+    for g in graphs:
+        for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
+            size, support = minimum_cycle_cover(g, omega)
+            assert len(brute_force_opt(g, omega)[0]) == size
+            opt, supports = all_optimal_supports(g, omega)
+            assert opt == size and support in supports
+        brute_force_opt(g, OmegaClass.DECREASE_ONLY)
+
+
+def test_cover_scales_past_the_enumeration_limit():
+    # Past 24 edges the subset walk refuses; the lazy cover still finds the
+    # known optima: the dense block's 21 zero-block pairs, and the 6 pairs
+    # that enumerating every cycle of the n=8 sweep gadget gives.
+    for d, size in ((dense_block_matrix(16, 7), 21), (sweep_worst_matrix(8), 6)):
+        g = d.to_graph()
+        assert g.m > 24
+        got, support = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY)
+        assert got == len(support) == size
+        assert verify_support(g, support, OmegaClass.INCREASE_ONLY).accepted
 
 
 def test_increase_needs_at_least_general_sized_support():
     for seed in range(25):
         g = random_mixed_instance(seed=900 + seed, max_n=6, max_m=10)
-        inc = brute_force_opt(g, OmegaClass.INCREASE_ONLY, method="cycles")
-        gen = brute_force_opt(g, OmegaClass.GENERAL, method="cycles")
+        inc = brute_force_opt(g, OmegaClass.INCREASE_ONLY)
+        gen = brute_force_opt(g, OmegaClass.GENERAL)
         assert len(inc[0]) >= len(gen[0])
 
 
@@ -153,7 +201,7 @@ def test_optima_are_invariant_under_weight_scaling():
 
 def test_all_optimal_supports_are_exactly_the_accepted_minimums():
     g = C5
-    opt, supports = all_optimal_supports(g, OmegaClass.INCREASE_ONLY, method="cycles")
+    opt, supports = all_optimal_supports(g, OmegaClass.INCREASE_ONLY)
     assert opt == 1
     # every bottom edge alone is optimal, the top edge is not
     assert set(supports) == {frozenset({e}) for e in g.edges if e != (0, 1)}
