@@ -43,7 +43,6 @@ _EXPORTS = {
     "instance_stats": "detect",
     "is_metric": "detect",
     "longest_broken_cycle_len": "detect",
-    "simple_cycles": "detect",
     "RejectionReason": "exact",
     "VerifierOutcome": "exact",
     "covers_broken_cycles": "exact",

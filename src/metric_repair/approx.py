@@ -19,20 +19,21 @@ general variant also claims each taken path's closing edge, for an
 ``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, the
 checked view of a complete graph, and work on that graph's scaled integer
 weights: the former greedily covers every broken cycle on at most five
-vertices and then verifies, the latter performs a single raising sweep over
-the integer matrix in one numpy kernel.  Each column's pass of the sweep
-first bounds, for all rows at once, the raise each row can get, and steps
-only the rows whose bound beats their entry.  The screen is exact because a
-pass raises only column ``k`` and its mirror row, so no row's bound rises
-before its step runs; on a metric matrix it passes no row.
+vertices, found from each top edge by ``detect.broken_cycles``, and then
+verifies; the latter performs a single raising sweep over the integer matrix
+in one numpy kernel.  Each column's pass of the sweep first bounds, for all
+rows at once, the raise each row can get, and steps only the rows whose bound
+beats their entry.  The screen is exact because a pass raises only column
+``k`` and its mirror row, so no row's bound rises before its step runs; on a
+metric matrix it passes no row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
 from typing import NamedTuple
 
+from .detect import broken_cycles
 from .exact import verify_support
 from .graphs import (
     DistanceMatrix,
@@ -41,7 +42,6 @@ from .graphs import (
     RepairDelta,
     SupportRejectedError,
     WeightedGraph,
-    _top_edge,
     edge_key,
 )
 from .paths import _INT64_SAFE, _scaled_apsp
@@ -124,41 +124,22 @@ def _path_cover(g: WeightedGraph, close_cycle: bool, omega: OmegaClass) -> Appro
 # -- five-cycle cover ---------------------------------------------------------
 
 
-def short_cycles_complete(n: int, max_len: int = 5):
-    """Canonical cycles of the complete graph K_n with at most ``max_len`` edges.
-
-    Ordered by length, then lexicographically by vertex set and arrangement;
-    each cycle appears once (smallest vertex first, second < last).
-    """
-    for m in range(3, min(max_len, n) + 1):
-        for subset in combinations(range(n), m):
-            first = subset[0]
-            for rest in permutations(subset[1:]):
-                if rest[0] < rest[-1]:
-                    yield (first,) + rest
-
-
 def five_cycle_cover(d: DistanceMatrix) -> ApproxReport:
     """Cover every broken cycle on at most 5 vertices, then verify.
 
-    Walking the short cycles in canonical order, any broken one with no bottom
-    edge in the cover yet contributes all of its edges.  A second pass records
-    the 4-cycles embedded in the cover (pairs of disjoint cover edges closed by
-    two more cover edges); their edges join the returned support.  The final
-    increase-only verification is expected to accept; a rejection raises.
+    Walking the broken short cycles in ``detect.broken_cycles`` order (length,
+    vertex set, arrangement), any one with no bottom edge in the cover yet
+    contributes all of its edges.  A second pass records the 4-cycles embedded
+    in the cover (pairs of disjoint cover edges closed by two more cover
+    edges); their edges join the returned support.  The final increase-only
+    verification is expected to accept; a rejection raises.
     """
     g = d.to_graph()
-    _, intw = g.integer_form()
     cover: set = set()
-    for cycle in short_cycles_complete(d.n):
-        m = len(cycle)
-        edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
-        top = _top_edge(intw, edges)
-        if top is None:
-            continue
-        if any(e != top and e in cover for e in edges):
-            continue
-        cover.update(edges)
+    for witness in broken_cycles(g, max_vertices=5):
+        edges = witness.edges()
+        if cover.intersection(edges) <= {witness.top_edge}:
+            cover.update(edges)
     stage_one = frozenset(cover)
     support = stage_one | embedded_square_edges(stage_one)
 

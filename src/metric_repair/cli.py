@@ -19,6 +19,7 @@ from .detect import broken_triangles, find_broken_witness, is_metric
 from .exact import verify_support
 from .fileio import (
     DeltaDocument,
+    _printable,
     parse_graph_text,
     parse_support_file,
     serialize_delta_json,
@@ -237,10 +238,12 @@ def cmd_gen(args) -> int:
     except (ValueError, KeyError) as exc:
         raise InputFormatError(f"bad parameters for {args.kind}: {exc}") from None
 
+    # The reader refuses weights past its printable bound, so gen writes none.
     instance = result.instance
     if isinstance(instance, DistanceMatrix):
-        rendered = serialize_matrix_csv(instance.to_graph())
+        rendered = serialize_matrix_csv(_printable(instance.to_graph()))
     else:
+        _printable(instance)
         header = [f"# kind: {args.kind}"] + [f"# {key}: {params[key]}" for key in sorted(params)]
         if result.planted_support is not None:
             header.append(f"# planted_support_size: {len(result.planted_support)}")

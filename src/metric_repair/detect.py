@@ -13,13 +13,16 @@ are exact at any size, so the test stays exact without touching a Fraction.
 That predicate is defined once, as ``graphs._top_edge``, which
 ``BrokenCycleWitness.check`` calls too; ``broken_triangles`` uses its
 three-term form, comparing each triangle's three scaled integers in place and
-building a witness only for the triangles that break.  ``is_metric`` is
+building a witness only for the triangles that break.  ``broken_cycles`` uses
+its path form: a cycle is broken with top edge ``(u, v)`` exactly when the
+rest of it is a u-v path lighter than ``w(u, v)``, so it searches only such
+paths and never lists a cycle that holds.  ``is_metric`` is
 ``find_broken_witness(g) is None``, so there is one edge walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import (
     BrokenCycleWitness,
@@ -27,8 +30,6 @@ from .graphs import (
     InstanceStats,
     OmegaClass,
     WeightedGraph,
-    _top_edge,
-    edge_key,
 )
 from .paths import apsp
 
@@ -80,17 +81,6 @@ def broken_triangles(g: WeightedGraph) -> tuple[BrokenCycleWitness, ...]:
     return tuple(found)
 
 
-def cycle_top_edge(g: WeightedGraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
-    """Top edge of ``cycle`` if it is broken in ``g``, else None.
-
-    At most one edge can strictly outweigh the rest of a cycle, so the top
-    edge is unique whenever it exists.
-    """
-    m = len(cycle)
-    return _top_edge(g.integer_form()[1],
-                     [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)])
-
-
 def edge_bits(g: WeightedGraph) -> dict[tuple[int, int], int]:
     """``{g.edges[i]: 1 << i}``, the bit layout of ``cover_masks``."""
     return {e: 1 << i for i, e in enumerate(g.edges)}
@@ -135,49 +125,73 @@ def packing_exceeds(masks: Iterable[int], hit: int, room: int) -> bool:
     return room < 0
 
 
-def simple_cycles(g: WeightedGraph) -> Iterator[tuple[int, ...]]:
-    """Every simple cycle of ``g``, once, in a canonical orientation.
+def broken_cycles(g: WeightedGraph, max_vertices: int | None = None
+                  ) -> tuple[BrokenCycleWitness, ...]:
+    """Every broken cycle on at most ``max_vertices`` vertices (all when None).
 
-    Cycles are emitted as vertex tuples starting at their smallest vertex with
-    the second vertex smaller than the last (fixing the direction).  The count
-    grows exponentially; callers guard the size.
+    Each is found once, from its unique top edge ``(u, v)``: the rest of the
+    cycle is a simple u-v path with an inner vertex that weighs less than
+    ``w(u, v)``.  So only edges with ``d(u, v) < w(u, v)`` are searched, and
+    a path prefix ending at ``x`` grows only while ``prefix + d(x, v) <
+    w(u, v)``, the A* bound (Hart, Nilsson and Raphael, 1968): every
+    completion weighs at least that much.  Cycles are turned to start at their
+    smallest vertex with the second vertex below the last, and sorted by
+    length, then vertex set, then arrangement.  The count can grow
+    exponentially; callers guard the size.
     """
-    n = g.n
-    path: list[int] = []
-    on_path = [False] * n
+    d = apsp(g)
+    intw = d.intw
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (a, b), w in intw.items():
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    inner = (g.n if max_vertices is None else max_vertices) - 2  # vertices a path may add
+    found = []
+    for (u, v), top in intw.items():
+        if d.edge(u, v) >= top:
+            continue
+        to_v = d.row(v)
+        into_v: list[tuple] = [()] * g.n  # the only arc a path with no room left may take
+        for x, w in adj[v]:
+            into_v[x] = ((v, w),)
+        path, on_path = [u], [False] * g.n
+        on_path[u] = True
 
-    def extend(root: int) -> Iterator[tuple[int, ...]]:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w == root and len(path) >= 3 and path[1] < path[-1]:
-                yield tuple(path)
-            elif w > root and not on_path[w]:
-                path.append(w)
-                on_path[w] = True
-                yield from extend(root)
-                on_path[w] = False
-                path.pop()
+        # One test is both the bound and, at y == v where d(v, v) = 0, the
+        # closing test.  It refuses the edge (u, v) itself, w(u, v) < w(u, v)
+        # being false, so every path found has an inner vertex.
+        def extend(x: int, prefix: int, room: int) -> None:
+            for y, w in adj[x] if room > 0 else into_v[x]:
+                if on_path[y] or prefix + w + to_v[y] >= top:
+                    continue
+                if y == v:
+                    found.append(BrokenCycleWitness(_canonical(path + [v]), (u, v)))
+                else:
+                    path.append(y)
+                    on_path[y] = True
+                    extend(y, prefix + w, room - 1)
+                    on_path[y] = False
+                    path.pop()
 
-    for root in range(n):
-        path = [root]
-        on_path = [False] * n
-        on_path[root] = True
-        yield from extend(root)
+        extend(u, 0, inner)
+    found.sort(key=lambda witness: (len(witness.cycle), *sorted(witness.cycle), *witness.cycle))
+    return tuple(found)
 
 
-def broken_cycles(g: WeightedGraph) -> Iterator[BrokenCycleWitness]:
-    """All broken cycles, by exhaustive enumeration."""
-    for cycle in simple_cycles(g):
-        top = cycle_top_edge(g, cycle)
-        if top is not None:
-            yield BrokenCycleWitness(cycle=cycle, top_edge=top)
+def _canonical(cycle: list[int]) -> tuple[int, ...]:
+    """``cycle`` rotated to start at its smallest vertex, second vertex below the last."""
+    i = cycle.index(min(cycle))
+    turned = cycle[i:] + cycle[:i]
+    if turned[1] > turned[-1]:
+        turned[1:] = turned[:0:-1]
+    return tuple(turned)
 
 
 def longest_broken_cycle_len(g: WeightedGraph, budget: int) -> int | None:
     """Exact length of the longest broken cycle; None when the graph is metric.
 
     Refuses to run on graphs with more than ``budget`` vertices because the
-    enumeration is exponential.
+    number of broken cycles can grow exponentially.
     """
     if g.n > budget:
         raise EnumerationBudgetError(

@@ -124,8 +124,9 @@ def covers_broken_cycles(g: WeightedGraph, support: Iterable[tuple[int, int]],
 
     General mode: ``support`` meets every broken cycle in some edge.
     Increase-only mode: ``support`` contains a bottom edge of every broken
-    cycle.  Enumerates every simple cycle, so it refuses graphs with more
-    than ``budget`` vertices.
+    cycle.  Lists every broken cycle (``detect.broken_cycles``), which can be
+    exponentially many, so it refuses graphs with more than ``budget``
+    vertices.
     """
     if omega is OmegaClass.DECREASE_ONLY:
         raise PreconditionError("the support characterization covers increase-only and general")

@@ -299,7 +299,8 @@ def parse_delta_json(text: str) -> DeltaDocument:
 
 
 def parse_graph_text(text: str, fmt: str = "auto", filename: str = "") -> WeightedGraph:
-    """Parse either graph format; ``auto`` keys on a .csv suffix or commas."""
+    """Parse either graph format; ``auto`` keys on a .csv suffix, or on a comma
+    in the first line that holds anything outside a '#' comment."""
     if fmt == "edgelist":
         return parse_edge_list(text)
     if fmt == "matrix":
@@ -308,8 +309,8 @@ def parse_graph_text(text: str, fmt: str = "auto", filename: str = "") -> Weight
         raise ValueError(f"unknown input format {fmt!r}")
     if filename.endswith(".csv"):
         return parse_matrix_csv(text)
-    body = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
-    if body and "," in body[0]:
+    body = (ln.split("#", 1)[0] for ln in text.splitlines())
+    if "," in next((ln for ln in body if ln.strip()), ""):
         return parse_matrix_csv(text)
     return parse_edge_list(text)
 

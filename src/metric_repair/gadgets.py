@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
-from .fileio import MAX_VERTICES
+from .fileio import MAX_VERTICES, parse_exact
 from .graphs import DistanceMatrix, WeightedGraph, edge_key
 from .paths import apsp
 
@@ -271,7 +271,7 @@ def build(spec: GadgetSpec) -> GadgetInstance:
         edges = base_graph_edges(p.get("base", "path"), n,
                                  seed=int(p["seed"]) if "seed" in p else None,
                                  m=_size(p, "base_m") if "base_m" in p else None)
-        alpha = Fraction(p.get("alpha", 1))
+        alpha = parse_exact(str(p.get("alpha", 1)))
         return GadgetInstance(suspension(n, edges, alpha))
     if kind == "ComponentL":
         return GadgetInstance(component_blocks(_size(p, "n"), int(p["L"])))

@@ -272,7 +272,7 @@ class BrokenCycleWitness(NamedTuple):
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         cyc = self.cycle
-        return tuple(edge_key(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
+        return tuple([(a, b) if a < b else (b, a) for a, b in zip(cyc, cyc[1:] + cyc[:1])])
 
     def bottom_edges(self) -> tuple[tuple[int, int], ...]:
         top = edge_key(*self.top_edge)

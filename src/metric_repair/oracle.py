@@ -43,6 +43,7 @@ from .graphs import (
     OmegaClass,
     RepairDelta,
     WeightedGraph,
+    apply_delta,
 )
 from .paths import apsp
 
@@ -107,19 +108,16 @@ def all_optimal_supports(
 def _acceptance_test(g: WeightedGraph, omega: OmegaClass):
     if omega is OmegaClass.DECREASE_ONLY:
         base = apsp(g)
-        weights = g.weight_map()
+        scale, intw = g.integer_form()
 
         def accept_decrease(support: frozenset) -> RepairDelta | None:
             entries = {}
             for e in support:
-                dist = Fraction(base.edge(*e), base.scale)
-                if dist < weights[e]:
-                    entries[e] = dist - weights[e]
-            candidate = g.replace_weights(
-                {e: weights[e] + v for e, v in entries.items()}) if entries else g
-            if is_metric(candidate):
-                return RepairDelta(entries, OmegaClass.DECREASE_ONLY)
-            return None
+                dist = base.edge(*e)
+                if dist < intw[e]:
+                    entries[e] = Fraction(dist - intw[e], scale)
+            delta = RepairDelta(entries, OmegaClass.DECREASE_ONLY)
+            return delta if is_metric(apply_delta(g, delta) if entries else g) else None
 
         return accept_decrease
 

@@ -121,10 +121,11 @@ def enumerate_cycles_by_permutation(g: WeightedGraph):
 
 def broken_cycles_brute(g: WeightedGraph):
     """(cycle, top_edge) pairs for every broken cycle, independent route."""
+    weight = g.weight_map()
     for cycle in enumerate_cycles_by_permutation(g):
         size = len(cycle)
         edges = [edge_key(cycle[i], cycle[(i + 1) % size]) for i in range(size)]
-        weights = [g.weight(*e) for e in edges]
+        weights = [weight[e] for e in edges]
         total = sum(weights, Fraction(0))
         for e, w in zip(edges, weights):
             if 2 * w > total:

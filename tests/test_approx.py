@@ -26,9 +26,8 @@ from metric_repair import (
     repaired_cell_count,
     shortest_path_cover,
 )
-from metric_repair.approx import embedded_square_edges, short_cycles_complete, _sweep_numpy
-from metric_repair.detect import cycle_top_edge
-from metric_repair.graphs import edge_key
+from metric_repair.approx import embedded_square_edges, _sweep_numpy
+from metric_repair.graphs import _top_edge, edge_key
 from metric_repair.gadgets import (
     component_blocks,
     cycle_tight,
@@ -40,7 +39,7 @@ from metric_repair.gadgets import (
     sweep_worst_matrix,
 )
 
-from conftest import random_matrix, random_mixed_instance
+from conftest import enumerate_cycles_by_permutation, random_matrix, random_mixed_instance
 
 METRIC_TRIANGLE = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
@@ -195,13 +194,6 @@ def test_decrease_mode_is_rejected():
 # -- five-cycle cover ----------------------------------------------------------
 
 
-def test_short_cycle_enumeration_counts():
-    # one orientation per triangle, three per 4-set, twelve per 5-set
-    cycles = list(short_cycles_complete(5))
-    assert len(cycles) == 10 + 3 * 5 + 12 * 1
-    assert len(set(cycles)) == len(cycles)
-
-
 def test_five_cycle_cover_on_metric_matrix():
     d = DistanceMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     report = five_cycle_cover(d)
@@ -233,21 +225,32 @@ def test_five_cycle_cover_regression_shared_top_edge():
     assert is_metric(apply_delta(d.to_graph(), report.delta))
 
 
+def short_cycles(d):
+    """The cycles of ``d`` on at most 5 vertices, by permutation enumeration.
+
+    It already walks them in the five-cycle cover's order: length, vertex set,
+    arrangement.
+    """
+    for cycle in enumerate_cycles_by_permutation(d.to_graph()):
+        if len(cycle) > 5:
+            return
+        yield cycle
+
+
 def test_five_cycle_cover_residual_short_cycles_are_covered():
     for seed in range(15):
         rng = random.Random(8000 + seed)
         d = random_matrix(rng, rng.randint(4, 7))
         report = five_cycle_cover(d)
         cover = report.stage_one_cover
-        g = d.to_graph()
-        for cycle in short_cycles_complete(d.n):
-            top = cycle_top_edge(g, cycle)
+        _, intw = d.to_graph().integer_form()
+        for cycle in short_cycles(d):
+            m = len(cycle)
+            edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
+            top = _top_edge(intw, edges)
             if top is None:
                 continue
-            m = len(cycle)
-            from metric_repair.graphs import edge_key
-            edges = {edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)}
-            assert (edges - {top}) & cover, (seed, cycle)
+            assert (set(edges) - {top}) & cover, (seed, cycle)
 
 
 def test_five_cycle_cover_on_tie_heavy_matrices():
@@ -277,7 +280,7 @@ def fraction_stage_one_cover(d):
     """Reference greedy over short cycles, testing brokenness in Fractions."""
     rows = d.rows()
     cover = set()
-    for cycle in short_cycles_complete(d.n):
+    for cycle in short_cycles(d):
         m = len(cycle)
         edges = [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
         weights = [rows[u][v] for (u, v) in edges]

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,38 @@ def test_gen_sizes_at_the_vertex_cap_exit_two(tmp_path, capsys):
         assert run_cli(args + [f"--param={p}" for p in params]) == 2
         assert f"must be below {MAX_VERTICES}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_gen_alpha_is_parsed_exactly_and_kept_printable(tmp_path, capsys):
+    # alpha goes through the reader's number parser, and a graph the reader
+    # would refuse is not written: a decimal exponent past 4300, and weights
+    # or a scale past 2^12000.
+    out = tmp_path / "s.txt"
+    base = ["gen", "--kind", "VertexCoverSuspension", "--param", "base_n=3",
+            "--out", str(out)]
+    capsys.readouterr()
+    for alpha, message in (("1e5000", "bad number '1e5000'"), ("1e4000", "2^12000"),
+                           ("1e-4000", "2^12000"), ("abc", "bad number 'abc'")):
+        assert run_cli(base + ["--param", f"alpha={alpha}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, alpha
+        assert not out.exists()
+    assert run_cli(base + ["--param", "alpha=1/3"]) == 0
+    g = parse_edge_list(out.read_text(encoding="utf-8"))
+    assert g.weight(0, 1) == 1 and g.weight(0, 3) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "0 1 1  # unit weights, as drawn\n1 2 1\n0 2 3\n",
+    "# drawn by hand\n0 1 1\n1 2 1  # unit weights, as drawn\n0 2 3\n",
+], ids=["first-line", "later-line"])
+def test_auto_format_ignores_commas_in_comments(tmp_path, capsys, text):
+    # A comma inside a comment does not make an edge list a CSV matrix, on
+    # the first data line or a later one.
+    inp = tmp_path / "g.txt"
+    write(inp, text)
+    assert run_cli(["detect", str(inp)]) == 1
+    assert "broken_cycle: 0-1-2 top=(0, 2)" in capsys.readouterr().out
 
 
 def test_gen_unknown_kind_lists_the_known_ones(tmp_path, capsys):

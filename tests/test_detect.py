@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_repair import (
     EnumerationBudgetError,
@@ -18,10 +20,9 @@ from metric_repair import (
     instance_stats,
     is_metric,
     longest_broken_cycle_len,
-    simple_cycles,
     verify_support,
 )
-from metric_repair.detect import cover_masks, cycle_top_edge, edge_bits
+from metric_repair.detect import cover_masks, edge_bits
 from metric_repair.exact import RejectionReason, _verify
 from metric_repair.gadgets import planted_complete, random_chordal_edges
 from metric_repair.graphs import BrokenCycleWitness, _top_edge, edge_key
@@ -85,15 +86,6 @@ def test_witness_invariants_on_random_broken_instances():
     assert found >= 20  # the sweep actually exercised broken instances
 
 
-def test_simple_cycles_match_permutation_enumeration():
-    for seed in range(12):
-        rng = random.Random(2000 + seed)
-        g = random_graph(rng, 6, rng.randint(5, 15), weights=(1, 3))
-        mine = sorted(simple_cycles(g))
-        brute = sorted(enumerate_cycles_by_permutation(g))
-        assert mine == brute
-
-
 def test_broken_triangles_triangle_examples():
     one = WeightedGraph(3, [(0, 1, 3), (1, 2, 1), (0, 2, 1)])
     (w,) = broken_triangles(one)
@@ -115,6 +107,13 @@ def test_broken_triangles_match_triple_scan_on_k5():
 # Primes whose product exceeds 2**62, so a graph carrying 1/p for all three
 # has a common denominator past the int64 range.
 BIG_PRIMES = (2097143, 2097169, 2097211)
+
+
+def cycle_top_edge(g, cycle):
+    """``graphs._top_edge`` on the edges of the vertex tuple ``cycle``."""
+    m = len(cycle)
+    return _top_edge(g.integer_form()[1],
+                     [edge_key(cycle[i], cycle[(i + 1) % m]) for i in range(m)])
 
 
 def fraction_top_edge(g, cycle):
@@ -260,6 +259,41 @@ def test_witness_check_accepts_every_enumerated_broken_cycle():
     assert checked >= 50
 
 
+@st.composite
+def cycle_search_graphs(draw):
+    """n <= 8, sparse or complete, weights from {0}, {0, 1}, 0-3 or mixed-denominator
+    rationals: zero-weight plateaus and exact ties throughout."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    pairs = list(combinations(range(n), 2))
+    if not draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), max_size=min(len(pairs), 14),
+                              unique=True))
+    weight = draw(st.sampled_from((
+        st.just(0), st.integers(0, 1), st.integers(0, 3),
+        st.builds(Fraction, st.sampled_from((0, 0, 1, 2, 3, 5)), st.integers(1, 7)))))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
+def cover_order(cycles):
+    """Length, then vertex set, then arrangement: the five-cycle cover's walk."""
+    return sorted(cycles, key=lambda c: (len(c[0]), sorted(c[0]), c[0]))
+
+
+@given(cycle_search_graphs())
+@settings(max_examples=150, deadline=None)
+def test_broken_cycles_equal_permutation_enumeration(g):
+    # Each broken cycle once, from its top edge, in the canonical orientation,
+    # and capped by vertex count exactly.
+    brute = cover_order(broken_cycles_brute(g))
+    found = broken_cycles(g)
+    assert found == tuple(brute)
+    for witness in found:
+        witness.check(g)
+    for k in (3, 4, 5):
+        assert broken_cycles(g, k) == tuple(c for c in brute if len(c[0]) <= k)
+
+
 def test_verifier_rejection_names_a_broken_cycle_the_support_misses():
     # The rejecting edge (u, v) and the canonical u-v path of the raised graph
     # close a broken cycle whose cover mask the support misses: the cycle the
@@ -289,7 +323,7 @@ def test_verifier_rejection_names_a_broken_cycle_the_support_misses():
 
 def test_cycle_top_edge_equals_fraction_definition():
     for g in equivalence_graphs():
-        for cycle in simple_cycles(g):
+        for cycle in enumerate_cycles_by_permutation(g):
             assert cycle_top_edge(g, cycle) == fraction_top_edge(g, cycle), cycle
 
 

@@ -229,6 +229,9 @@ def test_graph_text_sniffing():
     assert parse_graph_text(edge_text, "auto").m == 1
     assert parse_graph_text(matrix_text, "auto").is_complete()
     assert parse_graph_text(matrix_text, "auto", filename="x.csv").n == 2
+    # Commas in a comment do not count, on the first data line or a later one.
+    assert parse_graph_text("0 1 2  # a, b\n1 2 3\n", "auto").m == 2
+    assert parse_graph_text("# a, b\n0 1 2\n1 2 3  # c, d\n", "auto").m == 2
     with pytest.raises(ValueError):
         parse_graph_text(edge_text, "nonsense")
 

@@ -20,7 +20,7 @@ from metric_repair import (
     minimum_cycle_cover,
     verify_support,
 )
-from metric_repair import detect
+from metric_repair import detect, exact
 from metric_repair.gadgets import (
     completed_cycle,
     cycle_fig_one,
@@ -136,11 +136,14 @@ def test_branch_and_bound_matches_enumeration():
 def test_exact_oracles_never_enumerate_cycles(monkeypatch):
     # Both learn broken cycles from Verifier rejections instead.
     def refuse(*args, **kwargs):
-        raise AssertionError("simple_cycles was called")
+        raise AssertionError("broken_cycles was called")
 
-    monkeypatch.setattr(detect, "simple_cycles", refuse)
+    for module in (detect, exact):  # exact binds the name at import
+        monkeypatch.setattr(module, "broken_cycles", refuse)
     with pytest.raises(AssertionError):
-        next(detect.broken_cycles(C5))  # the hook is live
+        detect.longest_broken_cycle_len(C5, budget=6)  # the hook is live
+    with pytest.raises(AssertionError):
+        exact.covers_broken_cycles(C5, [], OmegaClass.GENERAL, budget=6)
     assert minimum_cycle_cover(completed_cycle(8), OmegaClass.INCREASE_ONLY)[0] == 6
     graphs = [C5, cycle_fig_one(8), completed_cycle(6), sweep_worst_matrix(6).to_graph()]
     graphs += [random_mixed_instance(seed=1200 + seed, max_n=7, max_m=12) for seed in range(10)]
