@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .graphs import WeightedGraph
 
 
@@ -14,30 +16,31 @@ def perfect_elimination_ordering(g: WeightedGraph) -> tuple[int, ...] | None:
     to that earliest one.
     """
     n = g.n
-    if n == 0:
-        return ()
-    weight = [0] * n
-    visited = [False] * n
+    weight = [0] * n  # -1 once visited
     visit_order: list[int] = []
-    for _ in range(n):
-        best = max((v for v in range(n) if not visited[v]),
-                   key=lambda v: (weight[v], -v))
-        visited[best] = True
-        visit_order.append(best)
-        for u in g.neighbors(best):
-            if not visited[u]:
-                weight[u] += 1
+    heap = [(0, v) for v in range(n)]  # (-weight, id); stale entries are skipped
+    while heap:
+        negw, best = heappop(heap)
+        if -negw == weight[best]:
+            weight[best] = -1
+            visit_order.append(best)
+            for u in g.neighbors(best):
+                if weight[u] >= 0:
+                    weight[u] += 1
+                    heappush(heap, (-weight[u], u))
 
     elimination = visit_order[::-1]
     position = {v: i for i, v in enumerate(elimination)}
-    neighbor_sets = [set(g.neighbors(v)) for v in range(n)]
+    parent_sets: dict[int, set[int]] = {}  # built only for the parents used
     for v in elimination:
         later = [u for u in g.neighbors(v) if position[u] > position[v]]
-        if not later:
+        if len(later) < 2:
             continue
         parent = min(later, key=position.__getitem__)
+        if parent not in parent_sets:
+            parent_sets[parent] = set(g.neighbors(parent))
         for u in later:
-            if u != parent and u not in neighbor_sets[parent]:
+            if u != parent and u not in parent_sets[parent]:
                 return None
     return tuple(elimination)
 

@@ -6,17 +6,18 @@ decimals when the denominator allows, as ``p/q`` otherwise.  Canonical
 serialization is deterministic, so ``serialize(parse(serialize(x)))`` is
 byte-identical to ``serialize(x)``.
 
-Parsed numbers stay printable: Python formats an int of at most 4300 digits
-(``sys.get_int_max_str_digits``), so a decimal exponent past 4300 is refused
-before it is expanded, and a parsed graph whose scale or largest scaled
-weight reaches ``2**12000`` (3613 digits) is refused too.  That leaves room
-for the distance sums and deltas the solvers print.  Both are
-``InputFormatError``; graphs built in library code are not checked.
-
-Work and messages stay bounded by the file as well: an edge list may not
-name a vertex id of ``MAX_VERTICES`` or more (the vertex count follows the
-largest id, not the file size), and every error message quotes input
-through ``graphs.clipped``, at most ``graphs.MAX_ECHO`` characters of each value.
+A graph file is checked in one pass, token by token, and the first fault
+wins; the checked edge map goes straight to the graph's build step
+(``graphs._trusted_graph``), which checks nothing again.  Parsed numbers stay
+printable: Python formats an int of at most 4300 digits, so a decimal
+exponent past 4300 is refused before it is expanded, and a parsed graph
+whose scale or largest scaled weight reaches ``2**12000`` (3613 digits) is
+refused last (``_printable``), leaving room for the sums and deltas the
+solvers print.  All are ``InputFormatError``.  An edge list may not name a
+vertex id of ``MAX_VERTICES`` or more (the vertex count follows the largest
+id, not the file size), and error messages quote at most
+``graphs.MAX_ECHO`` characters of each value.  Graphs built in library code
+are not held to these file bounds.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .graphs import (
     OmegaClass,
     RepairDelta,
     WeightedGraph,
+    _trusted_graph,
     clipped,
-    edge_key,
 )
 
 MAX_EXPONENT = 4300
@@ -87,36 +88,33 @@ def parse_edge_list(text: str) -> WeightedGraph:
     Vertex ids are 0-based and below ``MAX_VERTICES``; the vertex count is
     one past the largest id seen.
     """
-    edges = []
-    seen = set()
+    weights: dict[tuple[int, int], int | Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise InputFormatError(f"line {lineno}: expected 'u v w', got {clipped(raw)!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: vertex ids must be integers") from None
-        if u < 0 or v < 0:
+        key = (u, v) if u < v else (v, u)
+        if key[0] < 0:
             raise InputFormatError(f"line {lineno}: vertex ids must be nonnegative")
-        if max(u, v) >= MAX_VERTICES:
+        if key[1] >= MAX_VERTICES:
             raise InputFormatError(
-                f"line {lineno}: vertex id {clipped(max(u, v))} is not below {MAX_VERTICES}")
+                f"line {lineno}: vertex id {clipped(key[1])} is not below {MAX_VERTICES}")
         if u == v:
             raise InputFormatError(f"line {lineno}: self-loop {u}")
-        key = edge_key(u, v)
-        if key in seen:
+        if key in weights:
             raise InputFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
         w = parse_exact(parts[2])
         if w < 0:
             raise InputFormatError(f"line {lineno}: negative weight {clipped(parts[2])}")
-        edges.append((u, v, w))
-    n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-    return _printable(WeightedGraph(n, edges))
+        weights[key] = w
+    n = 1 + max((v for _, v in weights), default=-1)
+    return _printable(_trusted_graph(n, weights))
 
 
 def _printable(g: WeightedGraph) -> WeightedGraph:
@@ -180,15 +178,15 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
                 raise InputFormatError(f"cell ({i},{j}): negative entry {clipped(token)}")
             out_row.append(value)
         parsed.append(out_row)
-    for i in range(n):
-        if parsed[i][i] != 0:
+    for i, (row, column) in enumerate(zip(parsed, zip(*parsed))):
+        if row[i] != 0:
             raise InputFormatError(f"diagonal cell ({i},{i}) must be 0")
-        for j in range(i + 1, n):
-            if parsed[i][j] != parsed[j][i]:
-                raise InputFormatError(f"cells ({i},{j})/({j},{i}) are not symmetric")
-    edges = [(i, j, parsed[i][j]) for i in range(n) for j in range(i + 1, n)
-             if parsed[i][j] is not None]
-    return _printable(WeightedGraph(n, edges))
+        if tuple(row) != column:  # the earlier rows matched: the fault is right of i
+            j = next(j for j in range(i + 1, n) if row[j] != column[j])
+            raise InputFormatError(f"cells ({i},{j})/({j},{i}) are not symmetric")
+    weights = {(i, j): x for i, row in enumerate(parsed)
+               for j, x in enumerate(row[i + 1:], start=i + 1) if x is not None}
+    return _printable(_trusted_graph(n, weights))
 
 
 def serialize_matrix_csv(g: WeightedGraph) -> str:

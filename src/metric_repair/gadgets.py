@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple
 
 from .fileio import MAX_VERTICES, parse_exact
-from .graphs import DistanceMatrix, WeightedGraph, edge_key
+from .graphs import DistanceMatrix, WeightedGraph, _trusted_graph, edge_key
 from .paths import apsp
 
 GADGET_KINDS = (
@@ -70,12 +70,8 @@ def completed_cycle(n: int) -> WeightedGraph:
     """
     base = cycle_fig_one(n)
     d = apsp(base)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            w = base.weight(u, v) if base.has_edge(u, v) else d.dist(u, v)
-            edges.append((u, v, w))
-    return WeightedGraph(n, edges)
+    return _trusted_graph(n, {(u, v): base.weight(u, v) if base.has_edge(u, v) else d.dist(u, v)
+                              for u, v in combinations(range(n), 2)})
 
 
 def suspension(base_n: int, base_edges, alpha: Fraction = Fraction(1)) -> WeightedGraph:
@@ -125,11 +121,8 @@ def sweep_worst_matrix(n: int) -> DistanceMatrix:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, n):
-        rows[0][j] = Fraction(2 ** (j + 1))
-        rows[j][0] = rows[0][j]
-    return DistanceMatrix(rows)
+    weights = {(i, j): 0 if i else 2 ** (j + 1) for i, j in combinations(range(n), 2)}
+    return DistanceMatrix.from_graph(_trusted_graph(n, weights))
 
 
 def dense_block_matrix(n: int, k: int) -> DistanceMatrix:
@@ -142,20 +135,9 @@ def dense_block_matrix(n: int, k: int) -> DistanceMatrix:
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("need 1 <= k and k/n < 1/2")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = min(i, j), max(i, j)
-            if b < k:
-                value = Fraction(0)
-            elif a >= k:
-                value = Fraction(1)
-            else:
-                value = Fraction(k - a)
-            rows[i][j] = value
-    return DistanceMatrix(rows)
+    weights = {(a, b): 0 if b < k else 1 if a >= k else k - a
+               for a, b in combinations(range(n), 2)}
+    return DistanceMatrix.from_graph(_trusted_graph(n, weights))
 
 
 def random_connected_graph(n: int, m: int, rng: random.Random) -> tuple[tuple[int, int], ...]:

@@ -89,6 +89,8 @@ def _scale_weights(weights: Mapping[Edge, int | Fraction], scale: int = 1,
     up only when a new denominator enlarges the scale, and divided down when
     the overwritten weights held the only factor of it."""
     intw = intw or {}
+    if scale == 1 and not intw and {*map(type, weights.values())} <= {int}:
+        return 1, dict(weights)  # all plain ints: already on scale 1
     new_scale = lcm(scale, *(w.denominator for w in weights.values()))
     factor = new_scale // scale
     out = dict(intw) if factor == 1 else {e: x * factor for e, x in intw.items()}
@@ -151,9 +153,7 @@ class WeightedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, WeightLike]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         w: dict[Edge, int | Fraction] = {}
-        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v, weight in edges:
             key = edge_key(u, v)
             if not (0 <= key[0] and key[1] < n):
@@ -161,11 +161,21 @@ class WeightedGraph:
             if key in w:
                 raise ValueError(f"duplicate edge {key}")
             w[key] = _checked_weight(weight)
-            adj[key[0]].append(key[1])
-            adj[key[1]].append(key[0])
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._edges = tuple(sorted(w))
-        self._scale, self._intw = _scale_weights(w)
+        self._build(n, w)
+
+    def _build(self, n: int, weights: dict[Edge, int | Fraction]) -> None:
+        """Fill the graph from a checked map ``{(u, v): w}``: ``0 <= u < v < n``, ``w >= 0``."""
+        self.n = n
+        if len(weights) == n * (n - 1) // 2:  # complete: each vertex sees all others
+            self._adj = tuple([(*range(v), *range(v + 1, n)) for v in range(n)])
+        else:
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in weights:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = tuple([tuple(sorted(nbrs)) for nbrs in adj])
+        self._edges = tuple(sorted(weights))
+        self._scale, self._intw = _scale_weights(weights)
         self._apsp_cache: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -234,8 +244,8 @@ class WeightedGraph:
 
     def without_edges(self, removed: Iterable[tuple[int, int]]) -> "WeightedGraph":
         gone = {edge_key(*e) for e in removed}
-        return WeightedGraph(
-            self.n, ((u, v, wt) for (u, v), wt in self.weight_map().items() if (u, v) not in gone))
+        return _trusted_graph(
+            self.n, {e: wt for e, wt in self.weight_map().items() if e not in gone})
 
     def integer_form(self) -> tuple[int, dict[tuple[int, int], int]]:
         """The stored weights ``(scale, {edge: int})``; read-only, never copied.
@@ -244,6 +254,13 @@ class WeightedGraph:
         common denominator of the weights.
         """
         return self._scale, self._intw
+
+
+def _trusted_graph(n: int, weights: dict[Edge, int | Fraction]) -> WeightedGraph:
+    """The graph of a map checked as ``WeightedGraph._build`` requires; ``intw`` keeps its order."""
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._build(n, weights)
+    return g
 
 
 def _top_edge(intw: Mapping[Edge, int], edges: Sequence[Edge]) -> Edge | None:
@@ -404,8 +421,8 @@ class DistanceMatrix:
             for j in range(i):
                 if row[j] != mat[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self._graph = WeightedGraph(
-            n, ((i, j, mat[i][j]) for i in range(n) for j in range(i + 1, n)))
+        self._graph = _trusted_graph(
+            n, {(i, j): mat[i][j] for i in range(n) for j in range(i + 1, n)})
 
     @property
     def n(self) -> int:

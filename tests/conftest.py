@@ -5,11 +5,21 @@ Everything is seeded; tests freeze their seeds so reruns are identical.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from metric_repair import DistanceMatrix, WeightedGraph, edge_key, verify_support
+from metric_repair import (
+    DistanceMatrix,
+    InputFormatError,
+    WeightedGraph,
+    edge_key,
+    verify_support,
+)
+from metric_repair.fileio import MAX_VERTICES, _printable, parse_exact
+from metric_repair.graphs import clipped
 
 
 def random_graph(rng: random.Random, n: int, m: int,
@@ -197,3 +207,110 @@ def verifier_subset_walk(g: WeightedGraph, omega):
             if outcome.accepted:
                 return frozenset(combo), outcome.delta
     raise AssertionError("the full edge set always admits a repair")
+
+
+# -- reference loaders and chordality test --------------------------------------
+
+
+def reference_parse_edge_list(text: str) -> WeightedGraph:
+    """The two-pass edge-list loader the one-pass one must match: the file is
+    checked line by line, then every edge again by ``WeightedGraph``."""
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise InputFormatError(f"line {lineno}: expected 'u v w', got {clipped(raw)!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: vertex ids must be integers") from None
+        if u < 0 or v < 0:
+            raise InputFormatError(f"line {lineno}: vertex ids must be nonnegative")
+        if max(u, v) >= MAX_VERTICES:
+            raise InputFormatError(
+                f"line {lineno}: vertex id {clipped(max(u, v))} is not below {MAX_VERTICES}")
+        if u == v:
+            raise InputFormatError(f"line {lineno}: self-loop {u}")
+        key = edge_key(u, v)
+        if key in seen:
+            raise InputFormatError(f"line {lineno}: duplicate edge {key}")
+        seen.add(key)
+        w = parse_exact(parts[2])
+        if w < 0:
+            raise InputFormatError(f"line {lineno}: negative weight {clipped(parts[2])}")
+        edges.append((u, v, w))
+    n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+    return _printable(WeightedGraph(n, edges))
+
+
+def reference_parse_matrix_csv(text: str) -> WeightedGraph:
+    """The two-pass matrix loader: cells parsed one by one, symmetry checked
+    cell by cell, then every edge checked again by ``WeightedGraph``."""
+    try:
+        cells = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise InputFormatError(f"bad CSV: {exc}") from None
+    n = len(cells)
+    parsed = []
+    for i, row in enumerate(cells):
+        if len(row) != n:
+            raise InputFormatError(f"row {i}: expected {n} columns, got {len(row)}")
+        out_row = []
+        for j, cell in enumerate(row):
+            token = cell.strip()
+            if token == "" or token.lower() == "nan":
+                out_row.append(None)
+                continue
+            value = parse_exact(token)
+            if value < 0:
+                raise InputFormatError(f"cell ({i},{j}): negative entry {clipped(token)}")
+            out_row.append(value)
+        parsed.append(out_row)
+    for i in range(n):
+        if parsed[i][i] != 0:
+            raise InputFormatError(f"diagonal cell ({i},{i}) must be 0")
+        for j in range(i + 1, n):
+            if parsed[i][j] != parsed[j][i]:
+                raise InputFormatError(f"cells ({i},{j})/({j},{i}) are not symmetric")
+    edges = [(i, j, parsed[i][j]) for i in range(n) for j in range(i + 1, n)
+             if parsed[i][j] is not None]
+    return _printable(WeightedGraph(n, edges))
+
+
+def graph_state(g: WeightedGraph) -> tuple:
+    """Everything a graph holds, the order of its weight store included."""
+    scale, intw = g.integer_form()
+    return (g.n, g.edges, tuple(g.neighbors(v) for v in range(g.n)), scale,
+            tuple(intw.items()))
+
+
+def reference_elimination_ordering(g: WeightedGraph) -> tuple[int, ...] | None:
+    """Maximum cardinality search by a full scan for each vertex (ties to the
+    smaller id), then the parent test with every neighbour set built."""
+    n = g.n
+    weight = [0] * n
+    visited = [False] * n
+    visit_order: list[int] = []
+    for _ in range(n):
+        best = max((v for v in range(n) if not visited[v]), key=lambda v: (weight[v], -v))
+        visited[best] = True
+        visit_order.append(best)
+        for u in g.neighbors(best):
+            if not visited[u]:
+                weight[u] += 1
+    elimination = visit_order[::-1]
+    position = {v: i for i, v in enumerate(elimination)}
+    neighbor_sets = [set(g.neighbors(v)) for v in range(n)]
+    for v in elimination:
+        later = [u for u in g.neighbors(v) if position[u] > position[v]]
+        if not later:
+            continue
+        parent = min(later, key=position.__getitem__)
+        for u in later:
+            if u != parent and u not in neighbor_sets[parent]:
+                return None
+    return tuple(elimination)

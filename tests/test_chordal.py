@@ -6,7 +6,9 @@ import random
 from itertools import combinations
 
 from metric_repair import WeightedGraph, is_chordal, perfect_elimination_ordering
-from metric_repair.gadgets import random_chordal_edges
+from metric_repair.gadgets import planted_chordal, random_chordal_edges
+
+from conftest import random_graph, reference_elimination_ordering
 
 
 def _unit_graph(n, edges):
@@ -69,3 +71,16 @@ def test_ordering_is_deterministic():
     g1 = _unit_graph(9, edges)
     g2 = _unit_graph(9, edges)
     assert perfect_elimination_ordering(g1) == perfect_elimination_ordering(g2)
+
+
+def test_ordering_matches_the_full_scan_reference():
+    # The lazy heap pops the unvisited vertex of largest weight, ties to the
+    # smaller id, which is what a full scan for each vertex picks.
+    for seed in range(200):
+        g = planted_chordal(20, 2, seed=seed).instance
+        assert perfect_elimination_ordering(g) == reference_elimination_ordering(g)
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(0, 9)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        assert perfect_elimination_ordering(g) == reference_elimination_ordering(g)

@@ -99,6 +99,8 @@ def test_component_blocks_parameter_validation():
         component_blocks(8, 3)  # odd block
     with pytest.raises(ValueError):
         component_blocks(9, 4)  # block does not divide n
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        component_blocks(-4, 2)  # divisible, but no graph has -4 vertices
 
 
 def test_sweep_worst_matrix_layout():
@@ -118,6 +120,9 @@ def test_dense_block_matrix_layout_and_validation():
         dense_block_matrix(8, 4)       # gamma must stay below one half
     with pytest.raises(ValueError):
         dense_block_matrix(8, 0)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            sweep_worst_matrix(n)
 
 
 def test_planted_chordal_properties():

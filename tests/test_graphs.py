@@ -22,7 +22,7 @@ from metric_repair import (
     edge_key,
 )
 
-from conftest import random_graph
+from conftest import graph_state, random_graph
 
 
 def test_weights_are_exact_rationals():
@@ -42,6 +42,69 @@ def test_graph_rejects_self_loops_duplicates_and_range():
         WeightedGraph(3, [(0, 1, 1), (1, 0, 2)])
     with pytest.raises(ValueError):
         WeightedGraph(3, [(0, 3, 1)])
+
+
+@pytest.mark.parametrize("n, edges, error, message", [
+    (3, [(0, 1, 1), (1, 0, 2)], ValueError, "duplicate edge (0, 1)"),
+    (3, [(0, 3, 1)], ValueError, "edge (0, 3) out of range for n=3"),
+    (3, [(2, -1, 1)], ValueError, "edge (-1, 2) out of range for n=3"),
+    (3, [(1, 1, 1)], ValueError, "self-loop (1,1) is not a valid edge"),
+    (3, [(0, 1, -1)], ValueError, "weights must be nonnegative, got -1"),
+    (3, [(0, 1, "-1/2")], ValueError, "weights must be nonnegative, got -1/2"),
+    (3, [(0, 1, 0.5)], TypeError,
+     "floating point weights are not allowed; pass int, str or Fraction"),
+    (-1, [], ValueError, "vertex count must be nonnegative"),
+], ids=["duplicate", "range", "negative-id", "self-loop", "negative", "negative-str", "float",
+        "negative-n"])
+def test_library_constructor_keeps_each_check_and_message(n, edges, error, message):
+    with pytest.raises(error) as info:
+        WeightedGraph(n, edges)
+    assert str(info.value) == message
+
+
+def _checked_rebuild(g: WeightedGraph) -> WeightedGraph:
+    """``g`` built again edge by edge through the checked constructor."""
+    return WeightedGraph(g.n, ((u, v, w) for (u, v), w in g.weight_map().items()))
+
+
+def test_graphs_built_without_a_second_check_equal_checked_builds():
+    from metric_repair.gadgets import GADGET_KINDS, GadgetSpec, build
+
+    params = {"CycleFig1": {"n": "7"}, "CycleTight": {"n": "9"}, "CompletedCycle": {"n": "6"},
+              "VertexCoverSuspension": {"base_n": "5", "base": "random", "seed": "2",
+                                        "alpha": "3/7"},
+              "ComponentL": {"n": "12", "L": "4"}, "IomrWorst": {"n": "7"},
+              "DenseGamma": {"n": "9", "k": "4"},
+              "PlantedChordal": {"n": "15", "k": "3", "seed": "4"},
+              "PlantedComplete": {"n": "9", "k": "3", "seed": "5"}}
+    assert sorted(params) == sorted(GADGET_KINDS)
+    for kind, p in params.items():
+        instance = build(GadgetSpec(kind, tuple(p.items()))).instance
+        g = instance.to_graph() if isinstance(instance, DistanceMatrix) else instance
+        assert graph_state(g) == graph_state(_checked_rebuild(g)), kind
+    g = random_graph(random.Random(8), 7, 14)
+    for removed in ([], [(3, 0)], list(g.edges[::3])):
+        cut = g.without_edges(removed)
+        assert graph_state(cut) == graph_state(_checked_rebuild(cut))
+        assert cut.edges == tuple(e for e in g.edges if e not in {edge_key(*r) for r in removed})
+    half = g.replace_weights({e: Fraction(1, 2) for e in g.edges[:3]})
+    assert graph_state(half.without_edges(g.edges[:2])) == graph_state(WeightedGraph(
+        7, [(u, v, w) for (u, v), w in half.weight_map().items() if (u, v) not in g.edges[:2]]))
+    rows = [[0, "1/2", 3], ["0.5", 0, 2], [3, 2, 0]]
+    assert graph_state(DistanceMatrix(rows).to_graph()) == graph_state(
+        WeightedGraph(3, [(0, 1, "1/2"), (0, 2, 3), (1, 2, 2)]))
+
+
+def test_neighbors_are_the_sorted_other_ends_of_the_edges():
+    # Complete graphs take a shortcut in the build step; the others do not.
+    rng = random.Random(4)
+    for n in range(8):
+        full = n * (n - 1) // 2
+        for m in sorted({0, full // 2, max(full - 1, 0), full}):
+            g = random_graph(rng, n, m)
+            for v in range(n):
+                ends = {a + b - v for a, b in g.edges if v in (a, b)}
+                assert g.neighbors(v) == tuple(sorted(ends)), (n, m, v)
 
 
 def test_graph_edges_are_normalized_and_sorted():
