@@ -86,6 +86,17 @@ def edge_bits(g: WeightedGraph) -> dict[tuple[int, int], int]:
     return {e: 1 << i for i, e in enumerate(g.edges)}
 
 
+def mask_edges(g: WeightedGraph, mask: int) -> list[tuple[int, int]]:
+    """The edges of ``mask`` in index order: the inverse of ``edge_bits``."""
+    edges = g.edges
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(edges[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
 def cover_masks(g: WeightedGraph, witnesses: Iterable[BrokenCycleWitness],
                 omega: OmegaClass) -> list[int]:
     """One bitmask per broken cycle of the edges a repair in ``omega`` can mend it on.

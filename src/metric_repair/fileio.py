@@ -149,7 +149,7 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
     partial distance information enters the solvers.
     """
     try:
-        cells = [row for row in csv.reader(io.StringIO(text)) if row]
+        cells = [row for row in csv.reader(io.StringIO(text, newline=None)) if row]
     except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
         raise InputFormatError(f"bad CSV: {exc}") from None
     n = len(cells)

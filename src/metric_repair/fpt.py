@@ -27,9 +27,10 @@ every mask.  Only subtrees without an accepted leaf are cut, so the
 branching order, the first accepted support and its delta stay as they are
 without the bound.
 
-The per-graph work (chordality, broken triangles, their masks) is done once
-per public call; ``fpt_min_repair`` shares it, and one ``FptStats``, across
-its deepening rounds.
+One ``_Search`` holds a public call's work: the chordality check, the
+triangle masks, each edge's role count and the five search counters.
+``fpt_min_repair`` runs every deepening round on it, so its counters add up
+the rounds, and each result carries a snapshot of them.
 
 Pool size stays within 5k^2 (increase) / 12k^2 (general).  Tied candidate
 values at a selection boundary are all taken; if that ever pushed the pool past
@@ -39,24 +40,18 @@ enforced invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
 from .chordal import perfect_elimination_ordering
-from .detect import broken_triangles, cover_masks, edge_bits, packing_exceeds
+from .detect import broken_triangles, cover_masks, edge_bits, mask_edges, packing_exceeds
 from .exact import verify_support
-from .graphs import (
-    OmegaClass,
-    PreconditionError,
-    RepairDelta,
-    WeightedGraph,
-    edge_key,
-)
+from .graphs import OmegaClass, PreconditionError, RepairDelta, WeightedGraph, edge_key
 
 POOL_BOUND_FACTOR = {OmegaClass.INCREASE_ONLY: 5, OmegaClass.GENERAL: 12}
 
 
-@dataclass
-class FptStats:
+class FptStats(NamedTuple):
     """Search counts of one public call.
 
     ``nodes`` counts every node entered, ``pruned`` those the packing bound
@@ -71,12 +66,11 @@ class FptStats:
     pool_clamp_events: int = 0
 
 
-@dataclass(frozen=True)
-class FptResult:
+class FptResult(NamedTuple):
     support: frozenset | None
     delta: RepairDelta | None
     budget: int
-    stats: FptStats = field(compare=False, default_factory=FptStats)
+    stats: FptStats = FptStats()
 
     @property
     def found(self) -> bool:
@@ -100,10 +94,9 @@ def fpt_min_repair(g: WeightedGraph, omega: OmegaClass) -> FptResult:
     """
     if omega not in POOL_BOUND_FACTOR:
         raise PreconditionError("fixed-parameter repair covers increase-only and general")
-    triangles = _Triangles(g, omega)
-    stats = FptStats()
+    search = _Search(g, omega)
     for k in range(g.m + 1):
-        result = _fpt_solve(triangles, k, stats)
+        result = search.solve(k)
         if result.found:
             return result
     raise AssertionError("full edge budget must admit a repair")
@@ -112,11 +105,11 @@ def fpt_min_repair(g: WeightedGraph, omega: OmegaClass) -> FptResult:
 def _fpt_at(g: WeightedGraph, k: int, omega: OmegaClass) -> FptResult:
     if k < 0:
         raise ValueError("budget k must be nonnegative")
-    return _fpt_solve(_Triangles(g, omega), k, FptStats())
+    return _Search(g, omega).solve(k)
 
 
-class _Triangles:
-    """The broken triangles of a chordal graph, as cover masks (``detect.edge_bits`` layout)."""
+class _Search:
+    """One public call: triangle masks (``edge_bits`` layout), role counts, counters."""
 
     def __init__(self, g: WeightedGraph, omega: OmegaClass):
         if perfect_elimination_ordering(g) is None:
@@ -127,116 +120,100 @@ class _Triangles:
         self.masks = cover_masks(g, broken_triangles(g), omega)
         self.role_count: dict[tuple[int, int], int] = {}
         for mask in self.masks:
-            for e in self.edges_of(mask):
+            for e in mask_edges(g, mask):
                 self.role_count[e] = self.role_count.get(e, 0) + 1
+        self.nodes = self.leaves = self.pruned = self.max_pool = self.pool_clamp_events = 0
 
-    def edges_of(self, mask: int) -> list[tuple[int, int]]:
-        """The edges of ``mask``, in sorted order (bit ``i`` is ``g.edges[i]``)."""
-        edges = self.g.edges
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(edges[low.bit_length() - 1])
-            mask ^= low
-        return out
+    def solve(self, k: int) -> FptResult:
+        """First accepted support of size at most ``k``, as the search orders them."""
+        g, omega = self.g, self.omega
+        if not self.masks:
+            # A chordal graph without broken triangles is metric: any budget
+            # admits the empty repair.
+            return self._result(frozenset(), RepairDelta({}, omega), k)
+        seed = sorted(e for e, c in self.role_count.items() if c > k)
+        if len(seed) > k:
+            # Forced edges alone exceed the budget, so no size-k repair exists.
+            return self._result(None, None, k)
 
-
-def _fpt_solve(triangles: _Triangles, k: int, stats: FptStats) -> FptResult:
-    g, omega = triangles.g, triangles.omega
-    if not triangles.masks:
-        # A chordal graph without broken triangles is metric: any budget
-        # admits the empty repair.
-        return FptResult(frozenset(), RepairDelta({}, omega), k, stats)
-
-    seed = sorted(e for e, c in triangles.role_count.items() if c > k)
-    if len(seed) > k:
-        # Forced edges alone exceed the budget, so no size-k repair exists.
-        return FptResult(None, None, k, stats)
-
-    cap = POOL_BOUND_FACTOR[omega] * k * k
-    state = _Search(triangles, k, cap, stats)
-    pool: list[tuple[int, int]] = []
-    in_pool: set = set(seed)  # seeding never re-adds support edges
-    hit = sum(triangles.bit[e] for e in seed)
-    for mask in triangles.masks:
-        if not mask & hit:
-            state.add_candidates(pool, in_pool, triangles.edges_of(mask))
-    if omega is OmegaClass.INCREASE_ONLY:
-        intw = g.integer_form()[1]
-        for (i, j) in seed:
-            pairs = [(edge_key(i, l), edge_key(j, l)) for l in _select(g, i, j, k, largest=True)]
-            state.add_candidates(pool, in_pool, [a if intw[a] >= intw[b] else b for a, b in pairs])
-    else:
-        for (i, j) in seed:
-            for largest in (True, False):
-                for l in _select(g, i, j, k, largest=largest):
-                    state.add_candidates(pool, in_pool, [edge_key(i, l), edge_key(j, l)])
-
-    found = state.cover(seed, hit, frozenset(), pool, in_pool)
-    if found is None:
-        return FptResult(None, None, k, stats)
-    support, delta = found
-    return FptResult(support, delta, k, stats)
-
-
-class _Search:
-    def __init__(self, triangles: _Triangles, k: int, cap: int, stats: FptStats):
-        self.triangles = triangles
-        self.g = triangles.g
-        self.omega = triangles.omega
         self.k = k
-        self.cap = cap
-        self.stats = stats
+        self.cap = POOL_BOUND_FACTOR[omega] * k * k
+        pool: list[tuple[int, int]] = []
+        in_pool = set(seed)  # seeding never re-adds support edges
+        hit = sum(self.bit[e] for e in seed)
+        for mask in self.masks:
+            if not mask & hit:
+                self.add_candidates(pool, in_pool, mask_edges(g, mask))
+        if omega is OmegaClass.INCREASE_ONLY:
+            intw = g.integer_form()[1]
+            for (i, j) in seed:
+                self.add_candidates(pool, in_pool, [
+                    a if intw[a] >= intw[b] else b for a, b in _pair_edges(g, i, j, k, True)])
+        else:
+            for (i, j) in seed:
+                for largest in (True, False):
+                    for pair in _pair_edges(g, i, j, k, largest):
+                        self.add_candidates(pool, in_pool, pair)
+
+        support, delta = self.cover(seed, hit, 0, pool, in_pool) or (None, None)
+        return self._result(support, delta, k)
+
+    def _result(self, support, delta, k: int) -> FptResult:
+        return FptResult(support, delta, k, FptStats(
+            self.nodes, self.leaves, self.pruned, self.max_pool, self.pool_clamp_events))
 
     def add_candidates(self, pool: list, in_pool: set, edges) -> None:
         for e in edges:
             if e in in_pool:
                 continue
             if len(pool) >= self.cap:
-                self.stats.pool_clamp_events += 1
+                self.pool_clamp_events += 1
                 continue
             pool.append(e)
             in_pool.add(e)
         assert len(pool) <= self.cap
-        self.stats.max_pool = max(self.stats.max_pool, len(pool))
+        self.max_pool = max(self.max_pool, len(pool))
 
-    def cover(self, support: list, hit: int, expanded: frozenset, pool: list, in_pool: set):
-        """First accepted support below this node; ``hit`` is ``support`` as a mask."""
-        self.stats.nodes += 1
-        if packing_exceeds(self.triangles.masks, hit, self.k - len(support)):
-            self.stats.pruned += 1
+    def cover(self, support: list, hit: int, fresh: int, pool: list, in_pool: set):
+        """First accepted support below this node.
+
+        ``hit`` is ``support`` as a mask.  The candidates of ``support[fresh:]``
+        are not in ``pool`` yet: at the root that is every seed edge, below it
+        the newest edge only.
+        """
+        self.nodes += 1
+        if packing_exceeds(self.masks, hit, self.k - len(support)):
+            self.pruned += 1
             return None
         if len(support) == self.k:
-            self.stats.leaves += 1
+            self.leaves += 1
             outcome = verify_support(self.g, support, self.omega)
-            if outcome.accepted:
-                return frozenset(support), outcome.delta
-            return None
+            return (frozenset(support), outcome.delta) if outcome.accepted else None
 
-        g, k = self.g, self.k
+        g, k, general = self.g, self.k, self.omega is OmegaClass.GENERAL
         pool = list(pool)
         in_pool = set(in_pool)
-        for (i, j) in support:
-            if (i, j) in expanded:
-                continue
-            for l in _select(g, i, j, k, largest=False):
-                self.add_candidates(pool, in_pool, [edge_key(i, l), edge_key(j, l)])
-            if self.omega is OmegaClass.GENERAL:
-                for l in _select(g, i, j, k, largest=True):
-                    self.add_candidates(pool, in_pool, [edge_key(i, l), edge_key(j, l)])
-        expanded = frozenset(support)
-        if self.omega is OmegaClass.GENERAL:
-            self.add_candidates(pool, in_pool, _closing_edges(self.g, support))
+        for (i, j) in support[fresh:]:
+            for largest in (False, True) if general else (False,):
+                for pair in _pair_edges(g, i, j, k, largest):
+                    self.add_candidates(pool, in_pool, pair)
+        if general:
+            self.add_candidates(pool, in_pool, _closing_edges(g, support))
 
-        bit = self.triangles.bit
         for idx, e in enumerate(pool):
             rest = pool[:idx] + pool[idx + 1:]
             # e stays in the dedupe set: it is in the support now and must not
             # re-enter any descendant pool.
-            found = self.cover(support + [e], hit | bit[e], expanded, rest, in_pool)
+            found = self.cover(support + [e], hit | self.bit[e], len(support), rest, in_pool)
             if found is not None:
                 return found
         return None
+
+
+def _pair_edges(g: WeightedGraph, i: int, j: int, k: int, largest: bool):
+    """The edges ``(i, l), (j, l)`` to each neighbor ``l`` that ``_select`` ranks."""
+    for l in _select(g, i, j, k, largest):
+        yield edge_key(i, l), edge_key(j, l)
 
 
 def _select(g: WeightedGraph, i: int, j: int, k: int, largest: bool) -> list[int]:
@@ -263,14 +240,11 @@ def _select(g: WeightedGraph, i: int, j: int, k: int, largest: bool) -> list[int
 
 def _closing_edges(g: WeightedGraph, support: list) -> list[tuple[int, int]]:
     """Edges closing a triangle over two support edges that share a vertex."""
-    out = []
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            shared = set(support[a]) & set(support[b])
-            if len(shared) != 1:
-                continue
-            ends = (set(support[a]) | set(support[b])) - shared
+    out = set()
+    for a, b in combinations(support, 2):
+        ends = set(a) ^ set(b)
+        if len(ends) == 2:
             u, v = sorted(ends)
             if g.has_edge(u, v):
-                out.append((u, v))
-    return sorted(set(out))
+                out.add((u, v))
+    return sorted(out)

@@ -303,7 +303,11 @@ class BrokenCycleWitness(NamedTuple):
         edges = self.edges()
         if top not in edges:
             raise ValueError("top edge is not on the witness cycle")
-        if _top_edge(g.integer_form()[1], edges) != top:
+        intw = g.integer_form()[1]
+        for e in edges:
+            if e not in intw:
+                raise ValueError(f"witness cycle uses non-edge {e}")
+        if _top_edge(intw, edges) != top:
             raise ValueError("cycle inequality is not strictly violated")
 
 

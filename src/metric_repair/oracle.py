@@ -34,7 +34,14 @@ import os
 from fractions import Fraction
 from itertools import combinations
 
-from .detect import broken_triangles, cover_masks, edge_bits, is_metric, packing_exceeds
+from .detect import (
+    broken_triangles,
+    cover_masks,
+    edge_bits,
+    is_metric,
+    mask_edges,
+    packing_exceeds,
+)
 from .exact import _verify
 from .graphs import (
     BrokenCycleWitness,
@@ -51,14 +58,16 @@ DEFAULT_EDGE_LIMIT = 24
 _EDGE_LIMIT_ENV = "METRIC_REPAIR_ORACLE_EDGE_LIMIT"
 
 
-def _edge_limit(override: int | None) -> int:
-    if override is not None:
-        return override
+def _enumerable_edges(g: WeightedGraph, override: int | None) -> tuple:
+    """``g.edges``, or ``EnumerationBudgetError`` past the edge limit."""
     raw = os.environ.get(_EDGE_LIMIT_ENV, str(DEFAULT_EDGE_LIMIT))
     try:
-        return int(raw)
+        limit = int(raw) if override is None else override
     except ValueError:
         raise InputFormatError(f"{_EDGE_LIMIT_ENV} must be an integer, got {raw!r}") from None
+    if g.m > limit:
+        raise EnumerationBudgetError(f"support enumeration needs m <= {limit}, got m = {g.m}")
+    return g.edges
 
 
 def brute_force_opt(
@@ -74,11 +83,7 @@ def brute_force_opt(
     via the METRIC_REPAIR_ORACLE_EDGE_LIMIT environment variable) because the
     enumeration is a sum of binomials.
     """
-    edges = g.edges
-    limit = _edge_limit(edge_limit)
-    if len(edges) > limit:
-        raise EnumerationBudgetError(
-            f"support enumeration needs m <= {limit}, got m = {len(edges)}")
+    edges = _enumerable_edges(g, edge_limit)
     if max_support is None:
         max_support = len(edges)
     accept = _acceptance_test(g, omega)
@@ -95,14 +100,19 @@ def all_optimal_supports(
     omega: OmegaClass,
     edge_limit: int | None = None,
 ) -> tuple[int, tuple[frozenset, ...]]:
-    """Optimal size together with *every* feasible support of that size."""
-    first = brute_force_opt(g, omega, edge_limit=edge_limit)
-    assert first is not None  # full support is always feasible
-    opt = len(first[0])
+    """Optimal size together with *every* feasible support of that size.
+
+    One walk by increasing size; its first size with a feasible support is
+    the optimum.
+    """
+    edges = _enumerable_edges(g, edge_limit)
     accept = _acceptance_test(g, omega)
-    found = [frozenset(combo) for combo in combinations(g.edges, opt)
-             if accept(frozenset(combo)) is not None]
-    return opt, tuple(found)
+    for size in range(len(edges) + 1):
+        found = tuple(frozenset(combo) for combo in combinations(edges, size)
+                      if accept(frozenset(combo)) is not None)
+        if found:
+            return size, found
+    raise AssertionError("full support is always feasible")
 
 
 def _acceptance_test(g: WeightedGraph, omega: OmegaClass):
@@ -159,11 +169,10 @@ def minimum_cycle_cover(g: WeightedGraph, omega: OmegaClass) -> tuple[int, froze
     """
     if omega is OmegaClass.DECREASE_ONLY:
         raise ValueError("covering characterizes increase-only and general repairs")
-    edges = g.edges
     requirements = cover_masks(g, broken_triangles(g), omega)
     while True:
-        size, chosen = _minimum_hitting_set(requirements, len(edges))
-        support = frozenset(e for i, e in enumerate(edges) if chosen >> i & 1)
+        size, chosen = _minimum_hitting_set(requirements, g.m)
+        support = frozenset(mask_edges(g, chosen))
         delta, missed = _repair_or_missed_mask(g, support, omega)
         if delta is not None:
             return size, support

@@ -251,7 +251,7 @@ def reference_parse_matrix_csv(text: str) -> WeightedGraph:
     """The two-pass matrix loader: cells parsed one by one, symmetry checked
     cell by cell, then every edge checked again by ``WeightedGraph``."""
     try:
-        cells = [row for row in csv.reader(io.StringIO(text)) if row]
+        cells = [row for row in csv.reader(io.StringIO(text, newline=None)) if row]
     except csv.Error as exc:
         raise InputFormatError(f"bad CSV: {exc}") from None
     n = len(cells)

@@ -416,18 +416,22 @@ _NOT_NEEDED = ["metric_repair.gadgets", "metric_repair.bench", "metric_repair.or
                "metric_repair.fpt", "metric_repair.chordal", "dataclasses", "inspect", "numpy"]
 
 
-@pytest.mark.parametrize("args, needs_approx", [
-    (["detect", "small.csv"], False),
-    (["detect", "small.csv", "--triangles-only"], False),
-    (["repair", "small.csv", "--omega", "decrease", "--algo", "dmr"], False),
-    (["repair", "small.csv", "--omega", "increase", "--algo", "spc"], True),
-    (["repair", "small.csv", "--omega", "increase", "--algo", "5cc"], True),
-    (["verify", "small.csv", "--support", "support.txt", "--omega", "increase"], False),
-], ids=["detect", "detect-triangles", "dmr", "spc", "5cc", "verify"])
-def test_small_cli_runs_load_only_their_own_modules(tmp_path, args, needs_approx):
-    names = _NOT_NEEDED + ["metric_repair.approx"]
-    loaded = modules_loaded_by_cli(tmp_path, args, names)
-    assert loaded == (["metric_repair.approx"] if needs_approx else [])
+_APPROX = ["metric_repair.approx"]
+_FPT = ["metric_repair.fpt", "metric_repair.chordal"]
+
+
+@pytest.mark.parametrize("args, needed", [
+    (["detect", "small.csv"], []),
+    (["detect", "small.csv", "--triangles-only"], []),
+    (["repair", "small.csv", "--omega", "decrease", "--algo", "dmr"], []),
+    (["repair", "small.csv", "--omega", "increase", "--algo", "spc"], _APPROX),
+    (["repair", "small.csv", "--omega", "increase", "--algo", "5cc"], _APPROX),
+    (["verify", "small.csv", "--support", "support.txt", "--omega", "increase"], []),
+    (["repair", "chordal.txt", "--omega", "general", "--algo", "fpt"], _FPT),
+], ids=["detect", "detect-triangles", "dmr", "spc", "5cc", "verify", "fpt"])
+def test_small_cli_runs_load_only_their_own_modules(tmp_path, args, needed):
+    loaded = modules_loaded_by_cli(tmp_path, args, _NOT_NEEDED + _APPROX)
+    assert loaded == needed
 
 
 _CLOCK_PROBE = ("import sys, time, types\n"

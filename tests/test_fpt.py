@@ -268,3 +268,33 @@ def test_min_repair_stats_add_up_every_round(monkeypatch, omega):
     assert result.budget == 4
     assert result.stats.leaves == counts["verify"] == 1
     assert result.stats.nodes == counts["nodes"]
+
+
+# One row per (graph, omega): support and delta {edge: value}, budget, and
+# FptStats(nodes, leaves, pruned, max_pool, pool_clamp_events).  These pin the
+# search order as well as the answer; a change that reorders the search or
+# cuts more nodes must update them on purpose.
+_SUSPENSION_SUPPORT = {(0, 8): 2, (2, 8): 2, (4, 8): 2, (6, 8): 2}
+_PC30_SUPPORT = {(1, 3): 9, (1, 23): 10, (2, 13): 7, (3, 23): 8}
+_PC40_SUPPORT = {(5, 25): 9, (6, 7): 9, (11, 16): 8, (11, 29): 7}
+PINNED_SEARCHES = [
+    ("suspension8", OmegaClass.INCREASE_ONLY, _SUSPENSION_SUPPORT, 4, (13, 1, 8, 10, 0)),
+    ("suspension8", OmegaClass.GENERAL, {(0, 1): -1, (2, 8): 2, (4, 8): 2, (6, 8): 2}, 4,
+     (25, 1, 20, 15, 0)),
+    ("planted30-5-5", OmegaClass.INCREASE_ONLY, _PC30_SUPPORT, 4, (16, 1, 11, 14, 0)),
+    ("planted30-5-5", OmegaClass.GENERAL, _PC30_SUPPORT, 4, (139, 3, 124, 16, 0)),
+    ("planted40-4-4", OmegaClass.INCREASE_ONLY, _PC40_SUPPORT, 4, (18, 1, 13, 17, 0)),
+    ("planted40-4-4", OmegaClass.GENERAL, _PC40_SUPPORT, 4, (28, 1, 23, 21, 0)),
+]
+
+
+@pytest.mark.parametrize("name, omega, delta, budget, stats", PINNED_SEARCHES)
+def test_min_repair_search_is_pinned(name, omega, delta, budget, stats):
+    g = {"suspension8": lambda: suspension(8, base_graph_edges("path", 8)),
+         "planted30-5-5": lambda: planted_chordal(30, 5, seed=5).instance,
+         "planted40-4-4": lambda: planted_chordal(40, 4, seed=4).instance}[name]()
+    result = fpt_min_repair(g, omega)
+    assert result.support == frozenset(delta)
+    assert result.delta.entries == delta
+    assert (result.budget, result.stats) == (budget, stats)
+    assert result == (frozenset(delta), result.delta, budget, stats)

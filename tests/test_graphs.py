@@ -208,6 +208,9 @@ def test_witness_check_accepts_and_rejects():
         BrokenCycleWitness(cycle=(0, 1, 2, 3), top_edge=(1, 2)).check(c4)
     with pytest.raises(ValueError):
         BrokenCycleWitness(cycle=(0, 1), top_edge=(0, 1)).check(c4)
+    for far in (3, 9):  # a non-edge, and a vertex out of range
+        with pytest.raises(ValueError, match=rf"^witness cycle uses non-edge \(1, {far}\)$"):
+            BrokenCycleWitness((0, 1, far), (0, 1)).check(c4)
     # At 2^62 the scaled sums pass int64: one unit past the tie breaks the
     # triangle, the exact tie does not, and only the heaviest edge is its top.
     big = 2 ** 62

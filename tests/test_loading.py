@@ -198,6 +198,8 @@ def test_matrix_first_fault_wins():
             parse_matrix_csv(text)
     g = parse_matrix_csv("0,1\n1.0,0\n")
     assert g.integer_form() == (1, {(0, 1): 1})
+    # Bare CR line ends read as LF ones do, as in a file opened by the CLI.
+    assert parse_matrix_csv("0,1\r1,0\r") == parse_matrix_csv("0,1\n1,0\n")
 
 
 # -- the build step ------------------------------------------------------------
