@@ -72,7 +72,6 @@ _EXPORTS = {
     "minimum_cycle_cover": "oracle",
     "ApspResult": "paths",
     "apsp": "paths",
-    "NoSolutionError": "runner",
     "RepairReport": "runner",
     "run_algo": "runner",
 }

@@ -37,7 +37,7 @@ from .graphs import (
     apply_delta,
     clipped,
 )
-from .runner import ALGORITHMS, NoSolutionError, run_algo
+from .runner import ALGORITHMS, run_algo
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     guard = sys.stdout = _StdoutGuard(sys.stdout)
     try:
         return args.func(args)
-    except (InputFormatError, PreconditionError, NoSolutionError, SupportRejectedError) as exc:
+    except (InputFormatError, PreconditionError, SupportRejectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_BAD_INPUT if isinstance(exc, InputFormatError)
                 else EXIT_PRECONDITION if isinstance(exc, PreconditionError)

@@ -9,8 +9,22 @@ puts every forced edge into ``S`` (an edge sitting in more than ``k`` broken
 triangles -- as a bottom edge in the increase-only case, in any role in the
 general case -- is in every optimal support) and primes ``P`` from the
 uncovered triangles plus per-seed candidate rules.  The recursion expands
-``P`` once per support edge, branches over ``P`` in insertion order, and asks
-the support Verifier exactly at depth ``k``.
+``P`` once per support edge and asks the support Verifier exactly at depth
+``k``.  It branches over support sets, not orderings: the child that takes a
+pool edge gets only the edges after it, and the earlier siblings stay in the
+dedupe set, so no descendant adds them back and each set is reached once.
+
+The search that gave each child ``P`` less its own edge has the same output.
+Where no pool clamp fires below the root, its pool at a node is, as a set,
+``in_pool \\ S``, and ``in_pool`` only grows with ``S``; so the leaves below
+``S``, the packing bound and every Verifier outcome depend only on ``(k, S)``.
+It first reaches a set ``T`` by taking, at each node, the earliest pool edge
+in ``T``, never an earlier sibling, so this search keeps that path: it visits
+the same leaves in the same order without the repeats, and a repeat of a
+rejected set is rejected again.  The first accepted support, its delta and
+budget stay; ``nodes``, ``leaves``, ``pruned`` and ``max_pool`` can only fall.
+Where a clamp fires, pools here are shorter and clamp less often, and equal
+outputs are checked by test, not proven.
 
 Every node first applies a packing bound, the standard lower bound for bounded
 search trees (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).  Each
@@ -191,7 +205,6 @@ class _Search:
             return (frozenset(support), outcome.delta) if outcome.accepted else None
 
         g, k, general = self.g, self.k, self.omega is OmegaClass.GENERAL
-        pool = list(pool)
         in_pool = set(in_pool)
         for (i, j) in support[fresh:]:
             for largest in (False, True) if general else (False,):
@@ -201,10 +214,9 @@ class _Search:
             self.add_candidates(pool, in_pool, _closing_edges(g, support))
 
         for idx, e in enumerate(pool):
-            rest = pool[:idx] + pool[idx + 1:]
-            # e stays in the dedupe set: it is in the support now and must not
-            # re-enter any descendant pool.
-            found = self.cover(support + [e], hit | self.bit[e], len(support), rest, in_pool)
+            # Only the edges after e: e and its earlier siblings stay in in_pool.
+            found = self.cover(support + [e], hit | self.bit[e], len(support),
+                               pool[idx + 1:], in_pool)
             if found is not None:
                 return found
         return None

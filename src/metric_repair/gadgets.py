@@ -186,8 +186,7 @@ def _plant_decreases(g: WeightedGraph, k: int, rng: random.Random):
     return g.replace_weights({e: rng.randrange(intw[e]) for e in planted}), frozenset(planted)
 
 
-def planted_chordal(n: int, k: int, seed: int,
-                    weight_range: tuple[int, int] = (1, 10)) -> GadgetInstance:
+def planted_chordal(n: int, k: int, seed: int) -> GadgetInstance:
     """Metric random chordal graph with up to ``k`` edges corrupted downwards.
 
     Re-raising the corrupted edges restores the metric, so the plant size
@@ -195,17 +194,16 @@ def planted_chordal(n: int, k: int, seed: int,
     """
     rng = random.Random(seed)
     edges = random_chordal_edges(n, rng)
-    metric = metric_closure_weights(n, edges, rng, weight_range)
+    metric = metric_closure_weights(n, edges, rng, (1, 10))
     broken, planted = _plant_decreases(metric, k, rng)
     return GadgetInstance(instance=broken, planted_support=planted)
 
 
-def planted_complete(n: int, k: int, seed: int,
-                     weight_range: tuple[int, int] = (1, 20)) -> GadgetInstance:
+def planted_complete(n: int, k: int, seed: int) -> GadgetInstance:
     """Metric random complete instance with up to ``k`` entries corrupted."""
     rng = random.Random(seed)
     edges = tuple(combinations(range(n), 2))
-    metric = metric_closure_weights(n, edges, rng, weight_range)
+    metric = metric_closure_weights(n, edges, rng, (1, 20))
     broken, planted = _plant_decreases(metric, k, rng)
     return GadgetInstance(instance=DistanceMatrix.from_graph(broken),
                           planted_support=planted)

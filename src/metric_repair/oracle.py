@@ -73,26 +73,22 @@ def _enumerable_edges(g: WeightedGraph, override: int | None) -> tuple:
 def brute_force_opt(
     g: WeightedGraph,
     omega: OmegaClass,
-    max_support: int | None = None,
     edge_limit: int | None = None,
-) -> tuple[frozenset, RepairDelta] | None:
+) -> tuple[frozenset, RepairDelta]:
     """Smallest feasible support with one concrete repair on it.
 
-    Returns None when no support of size at most ``max_support`` works.
     Refuses instances with more than the edge limit (default 24, overridable
     via the METRIC_REPAIR_ORACLE_EDGE_LIMIT environment variable) because the
     enumeration is a sum of binomials.
     """
     edges = _enumerable_edges(g, edge_limit)
-    if max_support is None:
-        max_support = len(edges)
     accept = _acceptance_test(g, omega)
-    for size in range(min(max_support, len(edges)) + 1):
+    for size in range(len(edges) + 1):
         for combo in combinations(edges, size):
             result = accept(frozenset(combo))
             if result is not None:
                 return frozenset(combo), result
-    return None
+    raise AssertionError("full support is always feasible")
 
 
 def all_optimal_supports(

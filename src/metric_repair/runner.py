@@ -9,7 +9,6 @@ from .detect import is_metric, longest_broken_cycle_len
 from .exact import decrease_repair
 from .graphs import (
     DistanceMatrix,
-    MetricRepairError,
     OmegaClass,
     PreconditionError,
     RepairDelta,
@@ -32,10 +31,6 @@ ALGO_OMEGAS = {
 
 _MATRIX_ONLY = ("5cc", "iomr")
 _WHOLE_GRAPH_APSP = ("dmr", "spc", "gspc", "5cc")
-
-
-class NoSolutionError(MetricRepairError):
-    """The requested algorithm found no repair within its budget."""
 
 
 class RepairReport(NamedTuple):
@@ -108,10 +103,7 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         delta = matrix_sweep_repair(matrix)
         repaired_cells = repaired_cell_count(delta)
     else:
-        found = brute_force_opt(graph, omega)
-        if found is None:
-            raise NoSolutionError("no support within the oracle budget")
-        delta = found[1]
+        delta = brute_force_opt(graph, omega)[1]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     repaired = apply_delta(graph, delta)

@@ -24,7 +24,7 @@ from metric_repair import (
     verify_support,
 )
 from metric_repair import fpt
-from metric_repair.detect import broken_triangles, cover_masks
+from metric_repair.detect import broken_triangles, cover_masks, packing_exceeds
 from metric_repair.fpt import POOL_BOUND_FACTOR, _select
 from metric_repair.gadgets import base_graph_edges, planted_chordal, suspension
 from metric_repair.oracle import minimum_cycle_cover
@@ -273,18 +273,28 @@ def test_min_repair_stats_add_up_every_round(monkeypatch, omega):
 # One row per (graph, omega): support and delta {edge: value}, budget, and
 # FptStats(nodes, leaves, pruned, max_pool, pool_clamp_events).  These pin the
 # search order as well as the answer; a change that reorders the search or
-# cuts more nodes must update them on purpose.
+# cuts more nodes must update them on purpose.  The planted60 rows are deep
+# draws (optimum 7) whose thousands of nodes show any change in branching.
 _SUSPENSION_SUPPORT = {(0, 8): 2, (2, 8): 2, (4, 8): 2, (6, 8): 2}
 _PC30_SUPPORT = {(1, 3): 9, (1, 23): 10, (2, 13): 7, (3, 23): 8}
 _PC40_SUPPORT = {(5, 25): 9, (6, 7): 9, (11, 16): 8, (11, 29): 7}
+_PC60_3_SHARED = {(0, 4): 4, (0, 24): 1, (3, 38): 5, (4, 14): 3, (4, 43): 4, (20, 52): 9}
+_PC60_5_SUPPORT = {(0, 7): 7, (0, 16): 5, (0, 23): 5, (0, 24): 6, (2, 3): 3, (4, 29): 6,
+                   (12, 48): 5}
 PINNED_SEARCHES = [
-    ("suspension8", OmegaClass.INCREASE_ONLY, _SUSPENSION_SUPPORT, 4, (13, 1, 8, 10, 0)),
+    ("suspension8", OmegaClass.INCREASE_ONLY, _SUSPENSION_SUPPORT, 4, (10, 1, 5, 8, 0)),
     ("suspension8", OmegaClass.GENERAL, {(0, 1): -1, (2, 8): 2, (4, 8): 2, (6, 8): 2}, 4,
-     (25, 1, 20, 15, 0)),
-    ("planted30-5-5", OmegaClass.INCREASE_ONLY, _PC30_SUPPORT, 4, (16, 1, 11, 14, 0)),
-    ("planted30-5-5", OmegaClass.GENERAL, _PC30_SUPPORT, 4, (139, 3, 124, 16, 0)),
-    ("planted40-4-4", OmegaClass.INCREASE_ONLY, _PC40_SUPPORT, 4, (18, 1, 13, 17, 0)),
-    ("planted40-4-4", OmegaClass.GENERAL, _PC40_SUPPORT, 4, (28, 1, 23, 21, 0)),
+     (16, 1, 11, 15, 0)),
+    ("planted30-5-5", OmegaClass.INCREASE_ONLY, _PC30_SUPPORT, 4, (10, 1, 5, 11, 0)),
+    ("planted30-5-5", OmegaClass.GENERAL, _PC30_SUPPORT, 4, (73, 2, 60, 16, 0)),
+    ("planted40-4-4", OmegaClass.INCREASE_ONLY, _PC40_SUPPORT, 4, (12, 1, 7, 14, 0)),
+    ("planted40-4-4", OmegaClass.GENERAL, _PC40_SUPPORT, 4, (16, 1, 11, 21, 0)),
+    ("planted60-10-3", OmegaClass.INCREASE_ONLY, {**_PC60_3_SHARED, (8, 27): 5}, 7,
+     (3330, 17, 3160, 29, 0)),
+    ("planted60-10-3", OmegaClass.GENERAL, {**_PC60_3_SHARED, (8, 15): -1}, 7,
+     (6704, 82, 6184, 30, 0)),
+    ("planted60-10-5", OmegaClass.INCREASE_ONLY, _PC60_5_SUPPORT, 7, (16464, 4, 15560, 40, 0)),
+    ("planted60-10-5", OmegaClass.GENERAL, _PC60_5_SUPPORT, 7, (92653, 5, 88977, 60, 0)),
 ]
 
 
@@ -292,9 +302,87 @@ PINNED_SEARCHES = [
 def test_min_repair_search_is_pinned(name, omega, delta, budget, stats):
     g = {"suspension8": lambda: suspension(8, base_graph_edges("path", 8)),
          "planted30-5-5": lambda: planted_chordal(30, 5, seed=5).instance,
-         "planted40-4-4": lambda: planted_chordal(40, 4, seed=4).instance}[name]()
+         "planted40-4-4": lambda: planted_chordal(40, 4, seed=4).instance,
+         "planted60-10-3": lambda: planted_chordal(60, 10, seed=3).instance,
+         "planted60-10-5": lambda: planted_chordal(60, 10, seed=5).instance}[name]()
     result = fpt_min_repair(g, omega)
     assert result.support == frozenset(delta)
     assert result.delta.entries == delta
     assert (result.budget, result.stats) == (budget, stats)
     assert result == (frozenset(delta), result.delta, budget, stats)
+
+
+def _cover_over_orderings(self, support, hit, fresh, pool, in_pool):
+    """``_Search.cover`` as it was when each child got the pool less its own edge.
+
+    That search reaches one support set once for every order in which it can
+    be built; the search that branches over sets must give its answers.
+    """
+    self.nodes += 1
+    if packing_exceeds(self.masks, hit, self.k - len(support)):
+        self.pruned += 1
+        return None
+    if len(support) == self.k:
+        self.leaves += 1
+        outcome = fpt.verify_support(self.g, support, self.omega)
+        return (frozenset(support), outcome.delta) if outcome.accepted else None
+
+    g, k, general = self.g, self.k, self.omega is OmegaClass.GENERAL
+    pool = list(pool)
+    in_pool = set(in_pool)
+    for (i, j) in support[fresh:]:
+        for largest in (False, True) if general else (False,):
+            for pair in fpt._pair_edges(g, i, j, k, largest):
+                self.add_candidates(pool, in_pool, pair)
+    if general:
+        self.add_candidates(pool, in_pool, fpt._closing_edges(g, support))
+
+    for idx, e in enumerate(pool):
+        rest = pool[:idx] + pool[idx + 1:]
+        found = self.cover(support + [e], hit | self.bit[e], len(support), rest, in_pool)
+        if found is not None:
+            return found
+    return None
+
+
+@given(n=st.integers(min_value=4, max_value=20), k=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2 ** 20), increase=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_search_over_sets_gives_the_search_over_orderings_answer(n, k, seed, increase):
+    omega = OmegaClass.INCREASE_ONLY if increase else OmegaClass.GENERAL
+    g = planted_chordal(n, k, seed=seed).instance
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpt._Search, "cover", _cover_over_orderings)
+        reference = fpt_min_repair(g, omega)
+    result = fpt_min_repair(g, omega)
+    assert result[:3] == reference[:3]
+    assert result.stats.nodes <= reference.stats.nodes
+
+
+NO_REPEAT_GRAPHS = {
+    "suspension8": lambda: suspension(8, base_graph_edges("path", 8)),
+    "suspension6-complete": lambda: suspension(6, base_graph_edges("complete", 6)),
+    **{f"planted{n}-{k}-{seed}": (lambda n=n, k=k, seed=seed: planted_chordal(n, k, seed).instance)
+       for n, k, seed in [(20, 3, 10), (25, 4, 5), (30, 5, 5), (30, 5, 11), (40, 4, 2),
+                          (60, 10, 3)]},
+}
+
+
+@pytest.mark.parametrize("omega", BOTH_MODES)
+@pytest.mark.parametrize("name", NO_REPEAT_GRAPHS)
+def test_each_support_set_is_entered_once_per_round(monkeypatch, name, omega):
+    # Two branches part at a node where each takes a different pool edge; the
+    # later one gives up the earlier edge for its whole subtree, so their sets
+    # differ.  That holds in rounds with a pool clamp too (the planted draws
+    # (20, 3, 10), (25, 4, 5), (30, 5, 11) and (40, 4, 2) clamp in increase mode).
+    entered = []
+    real_cover = fpt._Search.cover
+
+    def cover(self, support, *args):
+        entered.append((self.k, frozenset(support)))
+        return real_cover(self, support, *args)
+
+    monkeypatch.setattr(fpt._Search, "cover", cover)
+    result = fpt_min_repair(NO_REPEAT_GRAPHS[name](), omega)
+    assert len(entered) == result.stats.nodes
+    assert len(set(entered)) == len(entered)

@@ -57,12 +57,6 @@ def test_enumeration_order_is_cardinality_then_lexicographic():
     assert general == frozenset({(0, 1)})  # the top edge sorts first overall
 
 
-def test_max_support_bound_returns_none():
-    heavy = cycle_fig_one(6)
-    got = brute_force_opt(heavy, OmegaClass.INCREASE_ONLY, max_support=0)
-    assert got is None
-
-
 def test_edge_limit_guard():
     big = WeightedGraph(8, ((u, v, 1) for u in range(8) for v in range(u + 1, 8)))
     with pytest.raises(EnumerationBudgetError):
