@@ -26,14 +26,31 @@ searches walk are built by the first search, so a dense result read only
 through ``row``, ``dist`` and ``edge`` never builds them.
 
 Callers that only ask whether each edge is a shortest path read ``edge(u,
-v)``.  Where no filled row exists it searches from ``u`` only as far as
-``u``'s heaviest edge to a larger id: the search settles every vertex within
-that distance and then stops, the source always included.  That bounded
-search is a prefix of the full one in ``(distance, id)`` pop order, and a
-vertex's distance and parent are fixed when it is popped, so every settled
-vertex -- each edge's far end among them, since ``d(u, v) <= w(u, v)`` --
-gets exactly the distance and canonical parent the full search gives it.
-``path(u, v)`` walks that bounded tree when it settled ``v``.
+v)``.  Where no filled row exists, the first read from ``u`` searches from
+``u`` only out to its reach, the largest ``w(u, v) - low(v)`` over
+``u``'s edges to larger ids, where ``low(v)`` is ``v``'s lightest edge (each
+term is at least 0, since ``(u, v)`` is one of ``v``'s edges).  The search
+settles every vertex within the reach and then stops, the source always
+included.  It is a prefix of the full search in ``(distance, id)`` pop order,
+and a vertex's distance and parent are fixed when it is popped, so every
+settled vertex gets exactly the full search's distance and canonical parent.
+A target ``v`` the search did not settle is answered by one last hop: start
+from ``w(u, v)`` with parent ``u``, and walk ``v``'s weight-sorted list while
+an arc is no heavier than the best so far, taking ``d(u, x) + w(x, v)`` from
+each settled ``x`` that improves it, or ties it with a smaller id.  That is
+exact.  Any other u-v path no heavier than ``w(u, v)`` enters ``v`` by an
+edge ``(x, v)``, ``x != u``, of weight at least ``low(v)``, so ``d(u, x) <=
+w(u, v) - low(v) <= reach``: ``x`` is settled with its full distance, and the
+best is ``d(u, v)``.  A tight predecessor with a zero-weight last edge would
+make ``low(v) = 0`` and the reach at least ``d(u, v)``, so the search would
+have settled ``v``; every other tight predecessor is strictly nearer than
+``v``, so the full search settles it before ``v`` and the smallest-id one
+(``u`` included when the edge is tight) is the canonical parent.  The
+answer is stored with the search's distances, and ``path(u, v)`` walks the
+bounded tree from it.  A stored target lies past the reach, so it is never a
+tight predecessor of another target and its entry changes no later scan.
+``edge`` takes either order of the ends, and answers a pair that is not an
+edge, and that the search did not settle, from the full row.
 
 A search scans only the arcs within its stop distance.  Without filled rows
 each adjacency list is sorted by weight, so a search leaves a list at its
@@ -65,21 +82,21 @@ class ApspResult:
     ``scale`` and ``intw`` are the ``(scale, {edge: int})`` pair the distances
     were computed from.  A row the dense engine did not fill, and the tree of
     any source, come from one search the first time either is read; an edge
-    read on an unfilled row runs the bounded search (module docstring) once
-    per source instead.  The searches' adjacency lists are built from
+    read on an unfilled row runs the search out to the source's reach once
+    per source instead, and answers each farther target by its last hop
+    (module docstring).  The searches' adjacency lists are built from
     ``intw`` by the first search, not up front.  Without filled rows they are
-    sorted by weight, and the same pass records each source's stop distance;
-    with filled rows they serve full searches only and stay unsorted.
+    sorted by weight; with filled rows they serve full searches only and stay
+    unsorted.
     """
 
-    __slots__ = ("scale", "intw", "_rows", "_adj", "_stops", "_bound", "_parents", "_near")
+    __slots__ = ("scale", "intw", "_rows", "_adj", "_bound", "_parents", "_near")
 
     def __init__(self, n: int, scale: int, intw: dict, rows: list | None = None):
         self.scale = scale
         self.intw = intw
         self._rows = rows or [None] * n
         self._adj: list[list[tuple[int, int]]] | None = None
-        self._stops: list[int] | None = None
         self._bound = 0
         self._parents: dict[int, tuple[int | None, ...]] = {}
         self._near: dict[int, tuple[list[int | None], list[int | None]]] = {}
@@ -89,15 +106,12 @@ class ApspResult:
         if self._adj is None:
             n = len(self._rows)
             adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            items, stops = self.intw.items(), None
+            items = self.intw.items()
             if n and self._rows[0] is None:  # the dense engine fills every row or none
                 items = sorted(items, key=itemgetter(1))
-                stops = self._stops = [0] * n
             for (u, v), w in items:
                 adj[u].append((w, v))
                 adj[v].append((w, u))
-                if stops is not None:
-                    stops[u] = w  # ascending: ends at u's heaviest edge to a larger id
             self._bound = _sentinel(n, self.intw)
             self._adj = adj
         return self._adj
@@ -107,20 +121,52 @@ class ApspResult:
         self._rows[u], parent = _dijkstra(adj, u, self._bound)
         self._parents[u] = tuple(parent)
 
-    def edge(self, u: int, v: int) -> int:
-        """Scaled distance between the ends of the edge ``(u, v)``, ``u < v``.
+    def edge(self, u: int, v: int) -> int | None:
+        """Scaled distance between ``u`` and ``v``, read for an edge's ends.
 
-        Reads a filled row; otherwise searches from ``u`` up to its heaviest
-        edge to a larger id, once per source.
+        Reads a filled row.  Otherwise it reads the search from the smaller
+        end out to its reach, run once per source, and answers an edge's far
+        end past the reach by its last hop (module docstring); any other pair
+        the search did not settle reads the full row.
         """
+        if u > v:
+            u, v = v, u
         row = self._rows[u]
         if row is None:
             near = self._near.get(u)
             if near is None:
                 adj = self._adjacency()
-                near = self._near[u] = _dijkstra(adj, u, self._stops[u])
+                reach = 0  # a term is at most its arc's weight: walk down from the heaviest
+                for w, x in reversed(adj[u]):
+                    if w <= reach:
+                        break
+                    if x > u and w - adj[x][0][0] > reach:
+                        reach = w - adj[x][0][0]
+                near = self._near[u] = _dijkstra(adj, u, reach)
             row = near[0]
+            if row[v] is None:
+                return self._last_hop(u, v, near)
         return row[v]
+
+    def _last_hop(self, u: int, v: int, near: tuple[list, list]) -> int | None:
+        """``d(u, v)`` for a pair the search from ``u`` did not settle: an
+        edge by its last hop, stored with its canonical parent in that
+        search's arrays; any other pair from the full row."""
+        best = self.intw.get((u, v))
+        if best is None:
+            return self.row(u)[v]
+        dist, parent = near
+        via = u
+        for w, x in self._adj[v]:  # u's own arc keeps via = u
+            if w > best:
+                break
+            dx = dist[x]
+            if dx is not None:
+                alt = dx + w
+                if alt < best or (alt == best and x < via):
+                    best, via = alt, x
+        dist[v], parent[v] = best, via
+        return best
 
     def row(self, u: int) -> list[int | None]:
         """Scaled distances from ``u`` to every vertex (None when unreachable)."""

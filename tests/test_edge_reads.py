@@ -1,18 +1,24 @@
 """Edge reads: bounded searches against full rows and full trees.
 
 ``ApspResult.edge(u, v)`` answers from a search that stops once every vertex
-within ``u``'s heaviest edge to a larger id is settled, and leaves each
-weight-sorted adjacency list at its first arc past that distance.  These
-tests hold it, the search kernel at any stop distance, and every caller that
-only reads edges, to references that read full rows filled by the Python
-dense kernel and trees from the settle-one-at-a-time reference in
-``conftest``.
+within ``u``'s reach is settled (the largest ``w(u, v) - low(v)`` over
+``u``'s edges to larger ids, ``low(v)`` being ``v``'s lightest edge), and
+leaves each weight-sorted adjacency list at its first arc past that
+distance; a target the search did not settle is answered by one scan of its
+own list, the last hop.  These tests hold it, the search kernel at any stop
+distance, and every caller that only reads edges, to references that read
+full rows filled by the Python dense kernel and trees from the
+settle-one-at-a-time reference in ``conftest``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_repair import (
     BrokenCycleWitness,
@@ -69,6 +75,16 @@ def _raised(intw: dict, rng: random.Random) -> dict:
     return {**intw, **dict.fromkeys(support, cap)}
 
 
+def _reach(weights: dict, u: int) -> int:
+    """How far an edge read searches from ``u``: its largest ``w(u, v) -
+    low(v)`` over edges to larger ids, 0 without one."""
+    low: dict = {}
+    for (a, b), w in weights.items():
+        low[a] = min(low.get(a, w), w)
+        low[b] = min(low.get(b, w), w)
+    return max((w - low[b] for (a, b), w in weights.items() if a == u), default=0)
+
+
 def test_edge_reads_match_full_rows_and_trees():
     rng = random.Random(900)
     count = 0
@@ -81,18 +97,20 @@ def test_edge_reads_match_full_rows_and_trees():
                 assert result.edge(u, v) == full.rows[u][v]
                 if full.rows[u][v] < w:
                     assert result.path(u, v) == full.path(u, v)
-            # Only bounded searches ran, and each settled exactly the vertices
-            # within its stop distance, with the full search's distance and
-            # canonical parent.
+            # Only bounded searches ran.  Each settled exactly the vertices
+            # within its reach, and each edge's far end past the reach got
+            # its entry from the last hop; both carry the full search's
+            # distance and canonical parent.
             assert result._rows == [None] * g.n and result._parents == {}
             for u, (drow, parents) in result._near.items():
-                limit = max(w for (a, _), w in weights.items() if a == u)
-                tree = full.tree(u)
+                reach, tree = _reach(weights, u), full.tree(u)
+                targets = {b for (a, b) in weights if a == u}
                 for x in range(g.n):
-                    within = full.rows[u][x] is not None and full.rows[u][x] <= limit
-                    assert (drow[x] is not None) == within, (u, x)
-                    if within:
-                        assert (drow[x], parents[x]) == (full.rows[u][x], tree[x])
+                    within = full.rows[u][x] is not None and full.rows[u][x] <= reach
+                    if within or x in targets:
+                        assert (drow[x], parents[x]) == (full.rows[u][x], tree[x]), (u, x)
+                    else:
+                        assert (drow[x], parents[x]) == (None, None), (u, x)
             # Arbitrary pairs keep full-search semantics after edge reads.
             for u in range(g.n):
                 assert result.row(u) == full.rows[u]
@@ -100,6 +118,57 @@ def test_edge_reads_match_full_rows_and_trees():
                     assert result.path(u, v) == full.path(u, v)
         count += 1
     assert count == 200
+
+
+def test_edge_reads_any_ordered_pair_on_either_engine():
+    # ``edge`` takes the ends in either order, and a pair that is not an
+    # edge reads the full row, with and without rows the dense kernel filled.
+    path_graph = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    assert paths.apsp(path_graph).edge(0, 2) == 2
+    square = WeightedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    assert paths.apsp(square).edge(1, 0) == 3
+    rng = random.Random(903)
+    for g in tree_sweep_graphs():
+        scale, intw = g.integer_form()
+        full = _FullRows(g.n, intw)
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+        for rows in (None, full.rows):
+            result = ApspResult(g.n, scale, intw, rows and [list(r) for r in rows])
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                assert result.edge(u, v) == full.rows[u][v], (u, v)
+
+
+@st.composite
+def _edge_read_inputs(draw):
+    n = draw(st.integers(1, 14))
+    top = draw(st.sampled_from((0, 1, 2, 3, 9)))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
+    intw = {e: w for e, k, w in zip(pairs, keep, weights) if k}
+    if intw and draw(st.booleans()):  # the Verifier's raised map
+        support = draw(st.sets(st.sampled_from(sorted(intw))))
+        intw.update(dict.fromkeys(support, max(intw.values())))
+    order = draw(st.permutations(sorted(intw)))
+    flips = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    return n, intw, [(v, u) if flip else (u, v) for (u, v), flip in zip(order, flips)]
+
+
+@given(_edge_read_inputs())
+@settings(max_examples=300, deadline=None)
+def test_edge_reads_in_any_order_keep_every_path_canonical(data):
+    # Reads in any order, each answered by the bounded search or its last
+    # hop; afterwards every pair's path, through a bounded tree or a full
+    # one, is the full-row reference's.
+    n, intw, reads = data
+    full = _FullRows(n, intw)
+    result = ApspResult(n, 1, intw)
+    for u, v in reads:
+        assert result.edge(u, v) == full.rows[u][v], (u, v)
+    for u in range(n):
+        for v in range(n):
+            assert result.path(u, v) == full.path(u, v), (u, v)
 
 
 def test_search_kernel_matches_the_reference_at_every_stop_distance():
@@ -129,9 +198,9 @@ def test_search_kernel_matches_the_reference_at_every_stop_distance():
 
 
 def test_filled_rows_answer_edge_reads_and_leave_their_lists_unsorted(monkeypatch):
-    # The break needs weight-sorted lists and a stop distance; a dense result
-    # has neither, so its edge reads must come from its rows, and its lists,
-    # built by the first path read, serve full searches only.
+    # The reach, the break and the last hop need weight-sorted lists; a
+    # dense result has none, so its edge reads must come from its rows, and
+    # its lists, built by the first path read, serve full searches only.
     g = planted_complete(40, 1, seed=3).instance.to_graph()
     scale, intw = g.integer_form()
     result = _scaled_apsp(g.n, scale, intw)
@@ -144,7 +213,6 @@ def test_filled_rows_answer_edge_reads_and_leave_their_lists_unsorted(monkeypatc
     u, v = broken[0]
     assert result.path(u, v) is not None
     assert limits == [paths._sentinel(g.n, intw)] and result._near == {}
-    assert result._stops is None
     in_map_order: list[list] = [[] for _ in range(g.n)]
     for (a, b), w in intw.items():
         in_map_order[a].append((w, b))
@@ -277,10 +345,37 @@ def test_edge_checks_on_the_tight_cycle_settle_few_vertices(monkeypatch):
     assert len(settled) == n - 1 and sum(settled) <= 4 * n
 
 
+def test_edge_reads_settle_only_the_vertices_within_the_reach(monkeypatch):
+    # Exact counts of vertices the edge searches settle, on a random metric
+    # graph (every edge read, all tight) and on the repaired tight cycle.
+    # Searching out to each source's heaviest edge to a larger id instead
+    # settles 3,048 and 1,193.
+    settled = []
+    real = paths._dijkstra
+
+    def counting(*args):
+        dist, parents = real(*args)
+        settled.append(sum(x is not None for x in dist))
+        return dist, parents
+
+    rng = random.Random(7)
+    metric = metric_closure_weights(120, random_connected_graph(120, 360, rng), rng, (1, 20))
+    repaired = apply_delta(cycle_tight(300), decrease_repair(cycle_tight(300)))
+    monkeypatch.setattr(paths, "_dijkstra", counting)
+    assert is_metric(metric)
+    assert (len(settled), sum(settled)) == (101, 1437)
+    settled.clear()
+    assert is_metric(repaired)
+    assert (len(settled), sum(settled)) == (299, 597)
+
+
 def test_bounded_search_leaves_a_heavy_hub_list_at_its_first_arc():
     # Vertex 0's one edge is a light edge to hub 1, which also has 1,000 heavy
-    # edges.  Reading (0, 1) searches from 0 up to distance 1: at the hub the
-    # first arc, the light one back to 0, already reaches past it.
+    # edges.  Vertex 0's reach is 0 (the edge is the hub's lightest), so the
+    # search from 0 never reaches the hub, and the last hop for (0, 1) reads
+    # two hub arcs: the one back to 0, then the first heavy one, past the
+    # best distance.  The other 999 stay unread, also when the edge is read
+    # again from its larger end.
     g = WeightedGraph(1002, [(0, 1, 1)] + [(1, x, 100) for x in range(2, 1002)])
     scale, intw = g.integer_form()
     result = ApspResult(g.n, scale, intw)
@@ -295,7 +390,9 @@ def test_bounded_search_leaves_a_heavy_hub_list_at_its_first_arc():
 
     adj[1] = CountingArcs(adj[1])
     assert result.edge(0, 1) == 1
-    assert len(scanned) == 1
+    assert scanned == [(1, 0), (100, 2)]
+    assert result.edge(1, 0) == 1
+    assert scanned == [(1, 0), (100, 2)] and result._rows[1] is None
 
 
 def test_later_cover_batches_search_only_from_still_broken_edges(monkeypatch):
