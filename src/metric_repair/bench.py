@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from typing import NamedTuple
 
+from .detect import DEFAULT_CYCLE_BUDGET
 from .graphs import OmegaClass, WeightedGraph
 from .oracle import minimum_cycle_cover
 from .gadgets import (
@@ -28,8 +29,6 @@ from .runner import run_algo
 
 CSV_COLUMNS = ("instance", "kind", "n", "m", "algo", "omega", "support_size",
                "opt", "L", "iterations", "time_ms")
-
-_EXACT_L_MAX_N = 8
 
 
 class BenchRow(NamedTuple):
@@ -74,7 +73,7 @@ def _row(label: str, kind: str, instance, omega: OmegaClass, algo: str,
     # Matrix-sweep rows count repaired matrix cells (two per pair), matching
     # the symmetric-matrix reading; everything else counts edges.
     report = run_algo(instance, omega, algo,
-                      exact_cycle_budget=_EXACT_L_MAX_N if with_l else None)
+                      exact_cycle_budget=DEFAULT_CYCLE_BUDGET if with_l else None)
     if not report.valid:
         raise AssertionError(f"{algo} produced an invalid repair on {label}")
     size = report.repaired_cells if algo == "iomr" else report.support_size

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .detect import broken_triangles, find_broken_witness, is_metric
+from .detect import DEFAULT_CYCLE_BUDGET, broken_triangles, find_broken_witness, is_metric
 from .exact import verify_support
 from .fileio import (
     DeltaDocument,
@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
 EXIT_BAD_INPUT = 2
 EXIT_PRECONDITION = 3
-
-DEFAULT_CYCLE_BUDGET = 9
 
 
 class _StdoutGuard:

@@ -151,11 +151,7 @@ def broken_cycles(g: WeightedGraph, max_vertices: int | None = None
     exponentially; callers guard the size.
     """
     d = apsp(g)
-    intw = d.intw
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (a, b), w in intw.items():
-        adj[a].append((b, w))
-        adj[b].append((a, w))
+    intw, adj = d.intw, d._adjacency()
     inner = (g.n if max_vertices is None else max_vertices) - 2  # vertices a path may add
     found = []
     for (u, v), top in intw.items():
@@ -163,8 +159,8 @@ def broken_cycles(g: WeightedGraph, max_vertices: int | None = None
             continue
         to_v = d.row(v)
         into_v: list[tuple] = [()] * g.n  # the only arc a path with no room left may take
-        for x, w in adj[v]:
-            into_v[x] = ((v, w),)
+        for w, x in adj[v]:
+            into_v[x] = ((w, v),)
         path, on_path = [u], [False] * g.n
         on_path[u] = True
 
@@ -172,7 +168,7 @@ def broken_cycles(g: WeightedGraph, max_vertices: int | None = None
         # closing test.  It refuses the edge (u, v) itself, w(u, v) < w(u, v)
         # being false, so every path found has an inner vertex.
         def extend(x: int, prefix: int, room: int) -> None:
-            for y, w in adj[x] if room > 0 else into_v[x]:
+            for w, y in adj[x] if room > 0 else into_v[x]:
                 if on_path[y] or prefix + w + to_v[y] >= top:
                     continue
                 if y == v:
@@ -196,6 +192,11 @@ def _canonical(cycle: list[int]) -> tuple[int, ...]:
     if turned[1] > turned[-1]:
         turned[1:] = turned[:0:-1]
     return tuple(turned)
+
+
+# The largest n for which the CLI's ``--exact-L`` and the bench suites compute
+# the longest broken cycle.
+DEFAULT_CYCLE_BUDGET = 9
 
 
 def longest_broken_cycle_len(g: WeightedGraph, budget: int) -> int | None:

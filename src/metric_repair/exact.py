@@ -27,8 +27,6 @@ from .graphs import (
 )
 from .paths import ApspResult, _scaled_apsp, apsp
 
-Support = frozenset
-
 
 def normalize_support(g: WeightedGraph, edges: Iterable[tuple[int, int]]) -> frozenset:
     """Normalize a set of edges and check that each one exists in ``g``."""

@@ -20,10 +20,13 @@ predecessor tree.  The search settles vertices in ``(distance, vertex id)``
 order and attaches each one to its smallest already-settled tight
 predecessor: a strict improvement resets the parent, a tie keeps the smaller
 id.  This stays acyclic across zero-weight plateaus, and repeated runs return
-identical paths.  A row the dense engine filled gets its tree from one search
-the first time a path from that source is read.  The adjacency lists the
-searches walk are built by the first search, so a dense result read only
-through ``row``, ``dist`` and ``edge`` never builds them.
+identical paths.  Each source keeps one record, the distance and parent
+arrays of the last search from it; a read the record cannot answer replaces
+it with the full search, which also fills the row.  So a row the dense
+engine filled gets its tree from one search the first time a tree or a path
+from that source is read.  The adjacency lists the searches walk are built
+by the first search, so a dense result read only through ``row``, ``dist``
+and ``edge`` never builds them.
 
 Callers that only ask whether each edge is a shortest path read ``edge(u,
 v)``.  Where no filled row exists, the first read from ``u`` searches from
@@ -46,22 +49,20 @@ make ``low(v) = 0`` and the reach at least ``d(u, v)``, so the search would
 have settled ``v``; every other tight predecessor is strictly nearer than
 ``v``, so the full search settles it before ``v`` and the smallest-id one
 (``u`` included when the edge is tight) is the canonical parent.  The
-answer is stored with the search's distances, and ``path(u, v)`` walks the
+answer is stored in the source's record, and ``path(u, v)`` walks the
 bounded tree from it.  A stored target lies past the reach, so it is never a
 tight predecessor of another target and its entry changes no later scan.
 ``edge`` takes either order of the ends, and answers a pair that is not an
 edge, and that the search did not settle, from the full row.
 
-A search scans only the arcs within its stop distance.  Without filled rows
-each adjacency list is sorted by weight, so a search leaves a list at its
-first arc that reaches past the stop distance.  That is exact: such an arc
-can be neither an improvement nor a tie (every distance the search sets is
-within the stop distance), and every later arc in the list is heavier.  A
-full search stops at ``_sentinel``, longer than any simple path, so it never
-leaves a list early.  A result with filled rows answers every edge read from
-them and builds its lists for full searches only, so it leaves them
-unsorted: sorting there would cost time on every dense path read and save
-no arc.
+A search scans only the arcs within its limit.  Each adjacency list is
+sorted by weight, so a search leaves a list at its first arc that reaches
+past the limit.  That is exact: such an arc can be neither an improvement
+nor a tie (every distance the search sets is within the limit), and every
+later arc in the list is heavier.  A full search's limit is ``_sentinel``,
+longer than any simple path, so it never leaves a list early.  The order of
+the arcs within a list changes no distance, no pop and no canonical parent.
+``detect.broken_cycles`` walks the same lists.
 """
 
 from __future__ import annotations
@@ -80,17 +81,12 @@ class ApspResult:
     """Scaled integer distances plus lazily built canonical predecessor trees.
 
     ``scale`` and ``intw`` are the ``(scale, {edge: int})`` pair the distances
-    were computed from.  A row the dense engine did not fill, and the tree of
-    any source, come from one search the first time either is read; an edge
-    read on an unfilled row runs the search out to the source's reach once
-    per source instead, and answers each farther target by its last hop
-    (module docstring).  The searches' adjacency lists are built from
-    ``intw`` by the first search, not up front.  Without filled rows they are
-    sorted by weight; with filled rows they serve full searches only and stay
-    unsorted.
+    were computed from.  Each source keeps one search record, bounded by an
+    edge read or full, and the weight-sorted adjacency lists are built by the
+    first search (module docstring).
     """
 
-    __slots__ = ("scale", "intw", "_rows", "_adj", "_bound", "_parents", "_near")
+    __slots__ = ("scale", "intw", "_rows", "_adj", "_bound", "_trees")
 
     def __init__(self, n: int, scale: int, intw: dict, rows: list | None = None):
         self.scale = scale
@@ -98,28 +94,35 @@ class ApspResult:
         self._rows = rows or [None] * n
         self._adj: list[list[tuple[int, int]]] | None = None
         self._bound = 0
-        self._parents: dict[int, tuple[int | None, ...]] = {}
-        self._near: dict[int, tuple[list[int | None], list[int | None]]] = {}
+        self._trees: dict[int, tuple[list[int | None], list[int | None]]] = {}
 
     def _adjacency(self) -> list[list[tuple[int, int]]]:
-        """``(scaled weight, neighbour)`` lists, built for the first search."""
+        """``(scaled weight, neighbour)`` lists sorted by weight, built on first use.
+
+        Ties keep ``intw``'s order.  ``detect.broken_cycles`` walks these
+        lists too; no caller changes them.
+        """
         if self._adj is None:
             n = len(self._rows)
             adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            items = self.intw.items()
-            if n and self._rows[0] is None:  # the dense engine fills every row or none
-                items = sorted(items, key=itemgetter(1))
-            for (u, v), w in items:
+            for (u, v), w in sorted(self.intw.items(), key=itemgetter(1)):
                 adj[u].append((w, v))
                 adj[v].append((w, u))
             self._bound = _sentinel(n, self.intw)
             self._adj = adj
         return self._adj
 
-    def _search(self, u: int) -> None:
-        adj = self._adjacency()
-        self._rows[u], parent = _dijkstra(adj, u, self._bound)
-        self._parents[u] = tuple(parent)
+    def _tree(self, u: int, limit: int | None = None) -> tuple[list, list]:
+        """``u``'s record.  With a ``limit``, a new search out to it; without,
+        the full search unless the record is that already: a full search's
+        distances are ``u``'s row, which it fills.  Every search runs here."""
+        record = self._trees.get(u)
+        if limit is not None or record is None or record[0] is not self._rows[u]:
+            adj = self._adjacency()
+            record = self._trees[u] = _dijkstra(adj, u, self._bound if limit is None else limit)
+            if limit is None:
+                self._rows[u] = record[0]
+        return record
 
     def edge(self, u: int, v: int) -> int | None:
         """Scaled distance between ``u`` and ``v``, read for an edge's ends.
@@ -133,8 +136,8 @@ class ApspResult:
             u, v = v, u
         row = self._rows[u]
         if row is None:
-            near = self._near.get(u)
-            if near is None:
+            record = self._trees.get(u)
+            if record is None:
                 adj = self._adjacency()
                 reach = 0  # a term is at most its arc's weight: walk down from the heaviest
                 for w, x in reversed(adj[u]):
@@ -142,20 +145,20 @@ class ApspResult:
                         break
                     if x > u and w - adj[x][0][0] > reach:
                         reach = w - adj[x][0][0]
-                near = self._near[u] = _dijkstra(adj, u, reach)
-            row = near[0]
+                record = self._tree(u, reach)
+            row = record[0]
             if row[v] is None:
-                return self._last_hop(u, v, near)
+                return self._last_hop(u, v, record)
         return row[v]
 
-    def _last_hop(self, u: int, v: int, near: tuple[list, list]) -> int | None:
+    def _last_hop(self, u: int, v: int, record: tuple[list, list]) -> int | None:
         """``d(u, v)`` for a pair the search from ``u`` did not settle: an
-        edge by its last hop, stored with its canonical parent in that
-        search's arrays; any other pair from the full row."""
+        edge by its last hop, stored with its canonical parent in ``u``'s
+        record; any other pair from the full row."""
         best = self.intw.get((u, v))
         if best is None:
             return self.row(u)[v]
-        dist, parent = near
+        dist, parent = record
         via = u
         for w, x in self._adj[v]:  # u's own arc keeps via = u
             if w > best:
@@ -171,7 +174,7 @@ class ApspResult:
     def row(self, u: int) -> list[int | None]:
         """Scaled distances from ``u`` to every vertex (None when unreachable)."""
         if self._rows[u] is None:
-            self._search(u)
+            self._tree(u)
         return self._rows[u]
 
     def dist(self, u: int, v: int) -> Fraction | None:
@@ -188,26 +191,18 @@ class ApspResult:
         path from ``s``; it is None for the source itself and for unreachable
         vertices.
         """
-        if source not in self._parents:
-            self._search(source)
-        return self._parents[source]
+        return tuple(self._tree(source)[1])
 
     def path(self, u: int, v: int) -> tuple[int, ...] | None:
         """One canonical shortest path from ``u`` to ``v`` (inclusive)."""
-        near = self._near.get(u)
-        if near is not None and near[0][v] is not None:
-            parents = near[1]  # the bounded search settled v: same tree
-        elif self.row(u)[v] is None:
-            return None
-        elif u == v:
-            return (u,)
-        else:
-            parents = self.parents(u)
-        out = [v]
+        record = self._trees.get(u)
+        if record is None or record[0][v] is None:  # only a full search answers
+            record = self._tree(u)
+            if record[0][v] is None:
+                return None
+        parents, out = record[1], [v]
         while out[-1] != u:
-            prev = parents[out[-1]]
-            assert prev is not None
-            out.append(prev)
+            out.append(parents[out[-1]])
         out.reverse()
         return tuple(out)
 
@@ -304,8 +299,7 @@ def _dijkstra(adj: list[list[tuple[int, int]]], source: int,
     # Only vertices within ``limit`` get a distance.  A list is left at its
     # first arc past the limit: that arc would change nothing (every set
     # distance is within the limit, so it is neither an improvement nor a
-    # tie), and on a sorted list every later arc is heavier.  A full search's
-    # limit exceeds every path, so its lists need no order.  A settled vertex
+    # tie), and on a sorted list every later arc is heavier.  A settled vertex
     # can only tie, never improve, so the settled check sits in the tie
     # branch, ahead of the parent comparison: the source keeps no parent.
     dist: list[int | None] = [None] * len(adj)

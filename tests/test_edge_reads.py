@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,12 +98,12 @@ def test_edge_reads_match_full_rows_and_trees():
                 assert result.edge(u, v) == full.rows[u][v]
                 if full.rows[u][v] < w:
                     assert result.path(u, v) == full.path(u, v)
-            # Only bounded searches ran.  Each settled exactly the vertices
-            # within its reach, and each edge's far end past the reach got
-            # its entry from the last hop; both carry the full search's
-            # distance and canonical parent.
-            assert result._rows == [None] * g.n and result._parents == {}
-            for u, (drow, parents) in result._near.items():
+            # Only bounded searches ran: no row is filled, and each source's
+            # record settled exactly the vertices within its reach, and each
+            # edge's far end past the reach got its entry from the last hop;
+            # both carry the full search's distance and canonical parent.
+            assert result._rows == [None] * g.n
+            for u, (drow, parents) in result._trees.items():
                 reach, tree = _reach(weights, u), full.tree(u)
                 targets = {b for (a, b) in weights if a == u}
                 for x in range(g.n):
@@ -152,20 +153,34 @@ def _edge_read_inputs(draw):
         intw.update(dict.fromkeys(support, max(intw.values())))
     order = draw(st.permutations(sorted(intw)))
     flips = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
-    return n, intw, [(v, u) if flip else (u, v) for (u, v), flip in zip(order, flips)]
+    edges = [("edge", v, u) if flip else ("edge", u, v) for (u, v), flip in zip(order, flips)]
+    vertex = st.integers(0, n - 1)
+    kinds = st.sampled_from(("edge", "row", "parents", "path", "dist"))
+    others = draw(st.lists(st.tuples(kinds, vertex, vertex), max_size=2 * n))
+    reads = draw(st.permutations(edges + others))
+    return n, intw, reads, draw(st.booleans())
 
 
 @given(_edge_read_inputs())
 @settings(max_examples=300, deadline=None)
 def test_edge_reads_in_any_order_keep_every_path_canonical(data):
-    # Reads in any order, each answered by the bounded search or its last
-    # hop; afterwards every pair's path, through a bounded tree or a full
-    # one, is the full-row reference's.
-    n, intw, reads = data
+    # Every edge read in both orientations, interleaved in random order with
+    # edge reads of any pair and row, tree, path and distance reads, with and
+    # without rows the Python dense kernel filled: an edge read may leave a
+    # bounded record, and each later read of its source must answer as the
+    # full-row reference does.  Afterwards every pair's path, through a
+    # bounded tree or a full one, is the reference's.
+    n, intw, reads, filled = data
     full = _FullRows(n, intw)
-    result = ApspResult(n, 1, intw)
-    for u, v in reads:
-        assert result.edge(u, v) == full.rows[u][v], (u, v)
+    reference = {
+        "edge": lambda u, v: full.rows[u][v], "row": lambda u: full.rows[u],
+        "parents": full.tree, "path": full.path,
+        "dist": lambda u, v: None if full.rows[u][v] is None else Fraction(full.rows[u][v]),
+    }
+    result = ApspResult(n, 1, intw, [list(r) for r in full.rows] if filled else None)
+    for read, u, v in reads:
+        args = (u,) if read in ("row", "parents") else (u, v)
+        assert getattr(result, read)(*args) == reference[read](*args), (read, u, v)
     for u in range(n):
         for v in range(n):
             assert result.path(u, v) == full.path(u, v), (u, v)
@@ -197,10 +212,10 @@ def test_search_kernel_matches_the_reference_at_every_stop_distance():
     assert count > 2000
 
 
-def test_filled_rows_answer_edge_reads_and_leave_their_lists_unsorted(monkeypatch):
-    # The reach, the break and the last hop need weight-sorted lists; a
-    # dense result has none, so its edge reads must come from its rows, and
-    # its lists, built by the first path read, serve full searches only.
+def test_filled_rows_answer_edge_reads_without_a_search(monkeypatch):
+    # A dense result's edge reads come from its rows: no search runs and no
+    # adjacency is built.  The first path read builds the lists, sorted by
+    # weight with ties in map order, and runs one full search.
     g = planted_complete(40, 1, seed=3).instance.to_graph()
     scale, intw = g.integer_form()
     result = _scaled_apsp(g.n, scale, intw)
@@ -209,15 +224,15 @@ def test_filled_rows_answer_edge_reads_and_leave_their_lists_unsorted(monkeypatc
     monkeypatch.setattr(paths, "_dijkstra",
                         lambda adj, source, limit: limits.append(limit) or real(adj, source, limit))
     broken = [(u, v) for (u, v), w in intw.items() if result.edge(u, v) < w]
-    assert broken and result._near == {} and result._adj is None and limits == []
+    assert broken and result._trees == {} and result._adj is None and limits == []
     u, v = broken[0]
     assert result.path(u, v) is not None
-    assert limits == [paths._sentinel(g.n, intw)] and result._near == {}
+    assert limits == [paths._sentinel(g.n, intw)] and list(result._trees) == [u]
     in_map_order: list[list] = [[] for _ in range(g.n)]
     for (a, b), w in intw.items():
         in_map_order[a].append((w, b))
         in_map_order[b].append((w, a))
-    assert result._adj == in_map_order != [sorted(arcs) for arcs in in_map_order]
+    assert result._adj == [sorted(arcs, key=itemgetter(0)) for arcs in in_map_order]
 
 
 # -- solvers against full-row references ---------------------------------------
