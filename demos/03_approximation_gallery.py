@@ -48,8 +48,7 @@ d = planted_complete(9, 3, seed=11).instance
 report = five_cycle_cover(d)
 print(f"planted n=9 instance: stage-1 cover {len(report.stage_one_cover)} edges,"
       f" final support {len(report.support)}")
-print("repaired is metric?",
-      is_metric(apply_delta(d.to_graph(), report.delta)))
+print("repaired is metric?", is_metric(apply_delta(d, report.delta)))
 
 print("\n== matrix raising sweep ==")
 for n in (5, 6, 8):

@@ -16,16 +16,16 @@ closing Verifier call always accepts in increase-only mode, with at most
 general variant also claims each taken path's closing edge, for an
 (L+1) * OPT bound.
 
-``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, the
-checked view of a complete graph, and work on that graph's scaled integer
-weights: the former greedily covers every broken cycle on at most five
-vertices, found from each top edge by ``detect.broken_cycles``, and then
-verifies; the latter performs a single raising sweep over the integer matrix
-in one numpy kernel.  Each column's pass of the sweep first bounds, for all
-rows at once, the raise each row can get, and steps only the rows whose bound
-beats their entry.  The screen is exact because a pass raises only column
-``k`` and its mirror row, so no row's bound rises before its step runs; on a
-metric matrix it passes no row.
+``five_cycle_cover`` and ``matrix_sweep_repair`` take a distance matrix, a
+checked complete graph, and work on its scaled integer weights: the former
+greedily covers every broken cycle on at most five vertices, found from each
+top edge by ``detect.broken_cycles``, and then verifies; the latter performs
+a single raising sweep over the integer matrix in one numpy kernel.  Each
+column's pass of the sweep first bounds, for all rows at once, the raise each
+row can get, and steps only the rows whose bound beats their entry.  The
+screen is exact because a pass raises only column ``k`` and its mirror row, so
+no row's bound rises before its step runs; on a metric matrix it passes no
+row.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .detect import broken_cycles
 from .exact import verify_support
 from .graphs import (
     DistanceMatrix,
-    MetricRepairError,
     OmegaClass,
+    PreconditionError,
     RepairDelta,
     SupportRejectedError,
     WeightedGraph,
@@ -72,7 +72,7 @@ def general_shortest_path_cover(
     ``SupportRejectedError``.
     """
     if omega is OmegaClass.DECREASE_ONLY:
-        raise MetricRepairError("path cover produces increase-only or general repairs")
+        raise PreconditionError("path cover produces increase-only or general repairs")
     return _path_cover(g, close_cycle=True, omega=omega)
 
 
@@ -134,16 +134,15 @@ def five_cycle_cover(d: DistanceMatrix) -> ApproxReport:
     edges); their edges join the returned support.  The final increase-only
     verification is expected to accept; a rejection raises.
     """
-    g = d.to_graph()
     cover: set = set()
-    for witness in broken_cycles(g, max_vertices=5):
+    for witness in broken_cycles(d, max_vertices=5):
         edges = witness.edges()
         if cover.intersection(edges) <= {witness.top_edge}:
             cover.update(edges)
     stage_one = frozenset(cover)
     support = stage_one | embedded_square_edges(stage_one)
 
-    outcome = verify_support(g, support, OmegaClass.INCREASE_ONLY)
+    outcome = verify_support(d, support, OmegaClass.INCREASE_ONLY)
     if not outcome.accepted:
         raise SupportRejectedError(outcome)
     return ApproxReport(
@@ -193,7 +192,7 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
     runs on exact Python ints (``dtype=object``).
     """
     n = d.n
-    scale, intw = d.to_graph().integer_form()
+    scale, intw = d.integer_form()
     int_rows = [[0] * n for _ in range(n)]
     for (i, j), w in intw.items():
         int_rows[i][j] = int_rows[j][i] = w

@@ -147,18 +147,18 @@ def suite_ratios() -> list[BenchRow]:
                          OmegaClass.INCREASE_ONLY, "spc", opt=opt, with_l=True))
     for seed in (1, 2, 3):
         inst = planted_complete(7, 2, seed).instance
-        opt = _oracle_size(inst.to_graph(), OmegaClass.INCREASE_ONLY)
+        opt = _oracle_size(inst, OmegaClass.INCREASE_ONLY)
         rows.append(_row(f"planted-complete-n7-s{seed}", "PlantedComplete", inst,
                          OmegaClass.INCREASE_ONLY, "5cc", opt=opt))
     d = dense_block_matrix(10, 4)
     rows.append(_row("dense-gamma-n10-k4", "DenseGamma", d,
                      OmegaClass.INCREASE_ONLY, "iomr",
-                     opt=2 * _oracle_size(d.to_graph(), OmegaClass.INCREASE_ONLY)))
+                     opt=2 * _oracle_size(d, OmegaClass.INCREASE_ONLY)))
     for n in (5, 6, 8):
         d = sweep_worst_matrix(n)
         rows.append(_row(f"sweep-worst-n{n}", "IomrWorst", d,
                          OmegaClass.INCREASE_ONLY, "iomr",
-                         opt=2 * _oracle_size(d.to_graph(), OmegaClass.INCREASE_ONLY)))
+                         opt=2 * _oracle_size(d, OmegaClass.INCREASE_ONLY)))
     base = base_graph_edges("path", 4)
     g = suspension(4, base)
     rows.append(_row("suspension-path4", "VertexCoverSuspension", g,

@@ -239,7 +239,7 @@ def cmd_gen(args) -> int:
     # The reader refuses weights past its printable bound, so gen writes none.
     instance = result.instance
     if isinstance(instance, DistanceMatrix):
-        rendered = serialize_matrix_csv(_printable(instance.to_graph()))
+        rendered = serialize_matrix_csv(_printable(instance))
     else:
         _printable(instance)
         header = [f"# kind: {args.kind}"] + [f"# {key}: {params[key]}" for key in sorted(params)]
@@ -258,8 +258,7 @@ def cmd_bench(args) -> int:
     try:
         handle = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise InputFormatError(f"cannot write {args.out}: {exc}") from None
     with handle:
         rows = bench_mod.run_suite(args.suite)
         bench_mod.write_csv(handle, rows)

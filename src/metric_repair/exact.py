@@ -84,10 +84,11 @@ def _verify(g: WeightedGraph, support: Iterable[tuple[int, int]], omega: OmegaCl
     d = _scaled_apsp(g.n, scale, {**intw, **dict.fromkeys(s, cap)})
 
     # Each source is searched, only as far as its edges reach, when the edge
-    # walk first reads it, so a rejection stops early.
+    # walk first reads it, so a rejection stops early.  The walk goes in edge
+    # order, so the rejected edge does not depend on how the input was listed.
     entries: dict[tuple[int, int], Fraction] = {}
-    for (u, v), old in intw.items():
-        new = d.edge(u, v)
+    for u, v in g.edges:
+        old, new = intw[(u, v)], d.edge(u, v)
         if new == old:
             continue
         if (u, v) not in s:

@@ -38,7 +38,10 @@ class GadgetSpec(NamedTuple):
 
 
 class GadgetInstance(NamedTuple):
-    instance: object  # WeightedGraph or DistanceMatrix
+    """A generated graph (a ``DistanceMatrix`` for the matrix kinds) and, for
+    the planted kinds, the corrupted edges."""
+
+    instance: WeightedGraph
     planted_support: frozenset | None = None
 
 

@@ -6,9 +6,8 @@ Broken cycles are detected through *strict* inequalities, so floating point
 values are rejected outright: a float cannot participate in any weight or delta.
 
 A distance matrix is the complete-graph special case, not a second model:
-``DistanceMatrix`` validates its rows once and then holds only the complete
-``WeightedGraph`` they define, and ``from_graph``/``to_graph`` wrap and unwrap
-that graph without copying it.
+``DistanceMatrix`` is a ``WeightedGraph`` subclass that validates its rows
+once, so every graph function takes a matrix as it is.
 
 Every object in this module is immutable after construction and safe to share
 across threads; all operations on them are pure functions.
@@ -229,15 +228,16 @@ class WeightedGraph:
     # -- derived graphs ----------------------------------------------------
 
     def replace_weights(self, new_weights: Mapping[Edge, WeightLike]) -> "WeightedGraph":
-        """Same topology (shared, not rebuilt) with some edge weights overridden;
-        only the new weights are scaled onto a copy of the stored integers."""
+        """Same topology (shared, not rebuilt) and class with some edge weights
+        overridden; only the new weights are scaled onto a copy of the stored
+        integers."""
         updates = {}
         for key, value in new_weights.items():
             key = edge_key(*key)
             if key not in self._intw:
                 raise ValueError(f"{key} is not an edge")
             updates[key] = _checked_weight(value)
-        g = WeightedGraph.__new__(WeightedGraph)
+        g = type(self).__new__(type(self))
         g.n, g._adj, g._edges, g._apsp_cache = self.n, self._adj, self._edges, {}
         g._scale, g._intw = _scale_weights(updates, self._scale, self._intw)
         return g
@@ -403,16 +403,15 @@ def apply_delta(g: WeightedGraph, delta: RepairDelta) -> WeightedGraph:
     return g.replace_weights(updated)
 
 
-class DistanceMatrix:
-    """Checked complete-graph view: a symmetric nonnegative matrix, zero diagonal.
+class DistanceMatrix(WeightedGraph):
+    """A checked complete graph: a symmetric nonnegative matrix, zero diagonal.
 
-    The matrix holds one complete :class:`WeightedGraph` and nothing else.
-    Entries, rows and equality are read off that graph, and ``to_graph()``
-    returns it, so every solver shares its stored integer weights and APSP
-    cache.
+    A matrix is the complete-graph case of :class:`WeightedGraph`, not a second
+    model: every graph function takes it as it is, and it adds only the
+    row checks and the ``entry``/``rows`` reads.
     """
 
-    __slots__ = ("_graph",)
+    __slots__ = ()
 
     def __init__(self, rows: Iterable[Iterable[WeightLike]]):
         mat = [tuple(_checked_weight(x) for x in row) for row in rows]
@@ -425,40 +424,34 @@ class DistanceMatrix:
             for j in range(i):
                 if row[j] != mat[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self._graph = _trusted_graph(
-            n, {(i, j): mat[i][j] for i in range(n) for j in range(i + 1, n)})
-
-    @property
-    def n(self) -> int:
-        return self._graph.n
+        self._build(n, {(i, j): mat[i][j] for i in range(n) for j in range(i + 1, n)})
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(0) if i == j else self._graph.weight(i, j)
+        return Fraction(0) if i == j else self.weight(i, j)
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.n
         return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def to_graph(self) -> WeightedGraph:
-        """The complete weighted graph carrying these distances (not a copy)."""
-        return self._graph
+        """This matrix, which is already its complete weighted graph."""
+        return self
 
     @classmethod
     def from_graph(cls, g: WeightedGraph) -> "DistanceMatrix":
-        """Wrap a complete graph without copying it."""
+        """``g`` as a matrix: ``g`` itself when it is one, else a matrix that
+        shares its stored integers, topology and APSP cache (no copy)."""
         if not g.is_complete():
             raise PreconditionError("matrix view requires a complete graph")
+        if isinstance(g, DistanceMatrix):
+            return g
         view = cls.__new__(cls)
-        view._graph = g
+        for name in WeightedGraph.__slots__:
+            setattr(view, name, getattr(g, name))
         return view
 
     def apply(self, delta: RepairDelta) -> "DistanceMatrix":
-        return DistanceMatrix.from_graph(apply_delta(self._graph, delta))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DistanceMatrix):
-            return NotImplemented
-        return self._graph == other._graph
+        return apply_delta(self, delta)
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n})"

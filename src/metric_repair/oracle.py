@@ -48,6 +48,7 @@ from .graphs import (
     EnumerationBudgetError,
     InputFormatError,
     OmegaClass,
+    PreconditionError,
     RepairDelta,
     WeightedGraph,
     apply_delta,
@@ -164,7 +165,7 @@ def minimum_cycle_cover(g: WeightedGraph, omega: OmegaClass) -> tuple[int, froze
     is optimal.
     """
     if omega is OmegaClass.DECREASE_ONLY:
-        raise ValueError("covering characterizes increase-only and general repairs")
+        raise PreconditionError("covering characterizes increase-only and general repairs")
     requirements = cover_masks(g, broken_triangles(g), omega)
     while True:
         size, chosen = _minimum_hitting_set(requirements, g.m)

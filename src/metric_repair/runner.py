@@ -49,16 +49,15 @@ class RepairReport(NamedTuple):
     valid: bool = False
 
 
-def run_algo(instance, omega: OmegaClass, algo: str,
+def run_algo(instance: WeightedGraph, omega: OmegaClass, algo: str,
              exact_cycle_budget: int | None = None) -> RepairReport:
     """Dispatch one solver, validate its output and time the solve.
 
-    ``instance`` is a WeightedGraph or a DistanceMatrix.  The matrix-only
-    algorithms (5cc, iomr) accept a graph only when it is complete; graph
-    algorithms accept a matrix through its complete-graph view.  Either way
-    the solver runs on the one graph object the runner holds and reads its
-    stored ``integer_form()`` and APSP cache.  Requesting an omega the algorithm
-    does not produce is a precondition violation.
+    ``instance`` is a WeightedGraph; a DistanceMatrix is one.  The matrix-only
+    algorithms (5cc, iomr) accept a graph only when it is complete, and run on
+    its matrix view, which shares its stored ``integer_form()`` and APSP
+    cache.  Requesting an omega the algorithm does not produce is a
+    precondition violation.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -66,9 +65,8 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         allowed = "/".join(o.value for o in ALGO_OMEGAS[algo])
         raise PreconditionError(f"algorithm {algo} solves omega {allowed}, not {omega.value}")
 
-    graph = instance.to_graph() if isinstance(instance, DistanceMatrix) else instance
-    if algo in _MATRIX_ONLY:
-        matrix = DistanceMatrix.from_graph(graph)  # raises unless complete
+    # The matrix-only solvers take the matrix view, which raises unless complete.
+    graph = DistanceMatrix.from_graph(instance) if algo in _MATRIX_ONLY else instance
 
     # A solver module loads only for the algorithm that runs, before the clock,
     # and so does numpy when the solve would load it: the sweep always runs on
@@ -97,10 +95,10 @@ def run_algo(instance, omega: OmegaClass, algo: str,
         report = general_shortest_path_cover(graph, omega)
         delta, iterations = report.delta, report.iterations
     elif algo == "5cc":
-        report = five_cycle_cover(matrix)
+        report = five_cycle_cover(graph)
         delta, iterations = report.delta, report.iterations
     elif algo == "iomr":
-        delta = matrix_sweep_repair(matrix)
+        delta = matrix_sweep_repair(graph)
         repaired_cells = repaired_cell_count(delta)
     else:
         delta = brute_force_opt(graph, omega)[1]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from metric_repair import (
     DistanceMatrix,
     OmegaClass,
+    PreconditionError,
     RepairDelta,
     SupportRejectedError,
     WeightedGraph,
@@ -187,7 +188,7 @@ def test_increase_mode_general_cover_when_it_accepts():
 
 
 def test_decrease_mode_is_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError):
         general_shortest_path_cover(METRIC_TRIANGLE, OmegaClass.DECREASE_ONLY)
 
 

@@ -129,6 +129,21 @@ def test_verify_accept_and_reject(tmp_path, capsys):
     assert "Rejected" in capsys.readouterr().out
 
 
+def test_verify_reason_does_not_depend_on_edge_line_order(tmp_path, capsys):
+    # Two triangles with a heavy edge each; the support holds only the first
+    # heavy edge.  Edge order meets the first triangle's decreased support
+    # edge (0,1) before the second's changed edge (3,4), however the file is
+    # listed.
+    first, second = ["0 1 10", "1 2 1", "0 2 1"], ["3 4 10", "4 5 1", "3 5 1"]
+    sup = tmp_path / "s.txt"
+    write(sup, "0 1\n")
+    for name, lines in (("a.txt", first + second), ("b.txt", second + first)):
+        write(tmp_path / name, "\n".join(lines) + "\n")
+        assert run_cli(["verify", str(tmp_path / name), "--support", str(sup),
+                        "--omega", "increase"]) == 1
+        assert capsys.readouterr().out == "Rejected: decreased-in-increase-mode\n"
+
+
 def test_verify_metric_graph_empty_support(tmp_path, capsys):
     inp = tmp_path / "m.txt"
     write(inp, METRIC_TEXT)
@@ -204,6 +219,19 @@ def test_detect_scans_broken_triangles_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
     out = capsys.readouterr().out
     assert "broken_triangles: 2" in out
+
+
+@pytest.mark.parametrize("text, expected", [
+    (METRIC_TEXT, "none"),  # n = 3: searched, and no broken cycle found
+    ("".join(f"{i} {i + 1} 1\n" for i in range(9)) + "0 9 10\n",
+     "not computed"),  # n = 10: past the n <= 9 enumeration budget
+])
+def test_exact_l_fallback_texts(tmp_path, capsys, text, expected):
+    inp = tmp_path / "g.txt"
+    write(inp, text)
+    assert run_cli(["repair", str(inp), "--omega", "increase", "--algo", "spc",
+                    "--exact-L", "--out", str(tmp_path / "d.tsv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"longest_broken_cycle: {expected}"
 
 
 def test_exact_l_reads_only_the_longest_broken_cycle(monkeypatch):
@@ -350,9 +378,13 @@ def test_bench_ratios_suite_csv(tmp_path):
     assert gamma["opt"] == "12"
 
 
-def test_bench_unwritable_output():
+def test_bench_unwritable_output(capsys):
     assert run_cli(["bench", "--suite", "ratios",
                     "--out", "/nonexistent-dir/x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /nonexistent-dir/x.csv: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_bench_table1_suite(tmp_path):

@@ -260,8 +260,8 @@ def _reference_verify(g: WeightedGraph, support, omega: OmegaClass):
     s = {edge_key(*e) for e in support}
     full = _FullRows(g.n, {**intw, **dict.fromkeys(s, max(intw.values(), default=0))})
     entries = {}
-    for (u, v), old in intw.items():
-        new = full.rows[u][v]
+    for u, v in g.edges:  # edge order, whatever order the graph was built in
+        old, new = intw[(u, v)], full.rows[u][v]
         if new == old:
             continue
         if (u, v) not in s:

@@ -40,9 +40,9 @@ def reference_verify(g, support, omega):
     """The Verifier on Fractions: raise the support, re-measure every edge by brute force."""
     s = frozenset(support)
     raised = g.replace_weights({e: g.max_weight() for e in s})
-    entries = {}
-    for (u, v), old in g.weight_map().items():
-        new = all_simple_path_dist(raised, u, v)
+    entries, weights = {}, g.weight_map()
+    for u, v in g.edges:  # edge order, whatever order the graph was built in
+        old, new = weights[(u, v)], all_simple_path_dist(raised, u, v)
         if new == old:
             continue
         if (u, v) not in s:

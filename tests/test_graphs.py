@@ -79,8 +79,7 @@ def test_graphs_built_without_a_second_check_equal_checked_builds():
               "PlantedComplete": {"n": "9", "k": "3", "seed": "5"}}
     assert sorted(params) == sorted(GADGET_KINDS)
     for kind, p in params.items():
-        instance = build(GadgetSpec(kind, tuple(p.items()))).instance
-        g = instance.to_graph() if isinstance(instance, DistanceMatrix) else instance
+        g = build(GadgetSpec(kind, tuple(p.items()))).instance
         assert graph_state(g) == graph_state(_checked_rebuild(g)), kind
     g = random_graph(random.Random(8), 7, 14)
     for removed in ([], [(3, 0)], list(g.edges[::3])):
@@ -257,11 +256,35 @@ def test_distance_matrix_validation():
 def test_matrix_view_wraps_its_graph_without_copying():
     g = random_graph(random.Random(5), 6, 15)
     d = DistanceMatrix.from_graph(g)
-    assert d.to_graph() is g and d.n == 6
+    assert d.integer_form()[1] is g.integer_form()[1] and d._apsp_cache is g._apsp_cache
+    assert d.to_graph() is d and d.n == 6 and DistanceMatrix.from_graph(d) is d
     built = DistanceMatrix(d.rows())
-    assert built == d and built.to_graph() is built.to_graph() == g
+    assert built == d == g and built.to_graph() is built
     with pytest.raises(PreconditionError):
         DistanceMatrix.from_graph(g.without_edges([(0, 1)]))
+
+
+def test_graph_functions_take_a_matrix_as_it_is():
+    from metric_repair import (apsp, broken_triangles, decrease_repair, find_broken_witness,
+                               is_metric, verify_support)
+
+    rng = random.Random(11)
+    for n in (1, 2, 5, 8):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))
+        d = DistanceMatrix(rows)
+        g = WeightedGraph(n, [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n)])
+        assert is_metric(d) == is_metric(g)
+        assert find_broken_witness(d) == find_broken_witness(g)
+        assert broken_triangles(d) == broken_triangles(g)
+        assert [apsp(d).row(u) for u in range(n)] == [apsp(g).row(u) for u in range(n)]
+        assert decrease_repair(d) == decrease_repair(g)
+        for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
+            for support in ((), d.edges[::2], d.edges):
+                assert verify_support(d, support, omega) == verify_support(g, support, omega)
+        assert d == g and isinstance(d, WeightedGraph)
 
 
 @pytest.mark.parametrize("algo", ["iomr", "5cc"])
@@ -291,6 +314,7 @@ def test_matrix_apply_mirrors_entries():
     d = DistanceMatrix([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
     out = d.apply(RepairDelta({(0, 2): 1}, OmegaClass.INCREASE_ONLY))
     assert out.entry(0, 2) == out.entry(2, 0) == 3
+    assert type(out) is DistanceMatrix and out._adj is d._adj
 
 
 def test_integer_form_is_the_canonical_scaled_store():

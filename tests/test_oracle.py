@@ -12,6 +12,7 @@ from metric_repair import (
     EnumerationBudgetError,
     InputFormatError,
     OmegaClass,
+    PreconditionError,
     WeightedGraph,
     all_optimal_supports,
     apply_delta,
@@ -160,6 +161,11 @@ def test_cover_scales_past_the_enumeration_limit():
         got, support = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY)
         assert got == len(support) == size
         assert verify_support(g, support, OmegaClass.INCREASE_ONLY).accepted
+
+
+def test_cover_rejects_decrease_mode_as_a_precondition():
+    with pytest.raises(PreconditionError):
+        minimum_cycle_cover(C5, OmegaClass.DECREASE_ONLY)
 
 
 def test_increase_needs_at_least_general_sized_support():
