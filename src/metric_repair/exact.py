@@ -83,9 +83,11 @@ def _verify(g: WeightedGraph, support: Iterable[tuple[int, int]], omega: OmegaCl
     cap = max(intw.values(), default=0)
     d = _scaled_apsp(g.n, scale, {**intw, **dict.fromkeys(s, cap)})
 
-    # Each source is searched, only as far as its edges reach, when the edge
-    # walk first reads it, so a rejection stops early.  The walk goes in edge
-    # order, so the rejected edge does not depend on how the input was listed.
+    # An edge no heavier than its ends' lightest arcs is read with no search.
+    # A source with another edge is searched, only as far as its edges reach,
+    # when the edge walk first reads one, so a rejection stops early.  The
+    # walk goes in edge order, so the rejected edge does not depend on how
+    # the input was listed.
     entries: dict[tuple[int, int], Fraction] = {}
     for u, v in g.edges:
         old, new = intw[(u, v)], d.edge(u, v)

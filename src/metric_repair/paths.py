@@ -29,31 +29,44 @@ by the first search, so a dense result read only through ``row``, ``dist``
 and ``edge`` never builds them.
 
 Callers that only ask whether each edge is a shortest path read ``edge(u,
-v)``.  Where no filled row exists, the first read from ``u`` searches from
-``u`` only out to its reach, the largest ``w(u, v) - low(v)`` over
-``u``'s edges to larger ids, where ``low(v)`` is ``v``'s lightest edge (each
-term is at least 0, since ``(u, v)`` is one of ``v``'s edges).  The search
-settles every vertex within the reach and then stops, the source always
-included.  It is a prefix of the full search in ``(distance, id)`` pop order,
-and a vertex's distance and parent are fixed when it is popped, so every
-settled vertex gets exactly the full search's distance and canonical parent.
-A target ``v`` the search did not settle is answered by one last hop: start
-from ``w(u, v)`` with parent ``u``, and walk ``v``'s weight-sorted list while
-an arc is no heavier than the best so far, taking ``d(u, x) + w(x, v)`` from
-each settled ``x`` that improves it, or ties it with a smaller id.  That is
-exact.  Any other u-v path no heavier than ``w(u, v)`` enters ``v`` by an
-edge ``(x, v)``, ``x != u``, of weight at least ``low(v)``, so ``d(u, x) <=
-w(u, v) - low(v) <= reach``: ``x`` is settled with its full distance, and the
-best is ``d(u, v)``.  A tight predecessor with a zero-weight last edge would
-make ``low(v) = 0`` and the reach at least ``d(u, v)``, so the search would
-have settled ``v``; every other tight predecessor is strictly nearer than
+v)``.  Where no filled row exists, one test answers most such reads with no
+search.  Let ``low(x)`` be the weight of ``x``'s lightest arc, the head of its
+weight-sorted list.  Any u-v path other than the edge itself has at least two
+edges; its first touches ``u``, its last touches ``v``, and the two are
+different edges, so with nonnegative weights it weighs at least ``low(u) +
+low(v)``.  So ``w(u, v) <= low(u) + low(v)`` proves ``d(u, v) = w(u, v)``,
+and ``edge`` returns the weight.  This certificate is tested before the
+record is looked up, so a certified read runs no search, scans no list and
+writes nothing to the record, and a source whose edges all pass never
+searches.
+
+Any other read searches from ``u`` only out to its reach, the largest term
+``w(u, v) - low(v)`` over ``u``'s edges to larger ids (each term is at least
+0, since ``(u, v)`` is one of ``v``'s edges).  A certified edge's term is at
+most ``low(u)`` and a failing edge's term exceeds it, so the reach of a
+source with a failing edge is the largest term over its failing edges.  The
+search settles every vertex within the reach and then stops, the source
+always included.  It is a prefix of the full search in ``(distance, id)``
+pop order, and a vertex's distance and parent are fixed when it is popped,
+so every settled vertex gets exactly the full search's distance and
+canonical parent.  A failing edge's far end ``v`` that the search did not
+settle is answered by one last hop: start from ``w(u, v)`` with parent
+``u``, and walk ``v``'s weight-sorted list while an arc is no heavier than
+the best so far, taking ``d(u, x) + w(x, v)`` from each settled ``x`` that
+improves it, or ties it with a smaller id.  That is exact.  Any other u-v
+path no heavier than ``w(u, v)`` enters ``v`` by an edge ``(x, v)``, ``x !=
+u``, of weight at least ``low(v)``, so ``d(u, x) <= w(u, v) - low(v) <=
+reach``: ``x`` is settled with its full distance, and the best is ``d(u,
+v)``.  A tight predecessor with a zero-weight last edge would make
+``low(v) = 0`` and the reach at least ``d(u, v)``, so the search would have
+settled ``v``; every other tight predecessor is strictly nearer than
 ``v``, so the full search settles it before ``v`` and the smallest-id one
-(``u`` included when the edge is tight) is the canonical parent.  The
-answer is stored in the source's record, and ``path(u, v)`` walks the
-bounded tree from it.  A stored target lies past the reach, so it is never a
-tight predecessor of another target and its entry changes no later scan.
-``edge`` takes either order of the ends, and answers a pair that is not an
-edge, and that the search did not settle, from the full row.
+(``u`` included when the edge is tight) is the canonical parent.  The answer is stored in
+the source's record, and ``path(u, v)`` walks the bounded tree from it.  A
+stored target lies past the reach, so it is never a tight predecessor of
+another target and its entry changes no later scan.  ``edge`` takes either
+order of the ends, and answers a pair that is not an edge, and that the
+search did not settle, from the full row.
 
 A search scans only the arcs within its limit.  Each adjacency list is
 sorted by weight, so a search leaves a list at its first arc that reaches
@@ -127,18 +140,23 @@ class ApspResult:
     def edge(self, u: int, v: int) -> int | None:
         """Scaled distance between ``u`` and ``v``, read for an edge's ends.
 
-        Reads a filled row.  Otherwise it reads the search from the smaller
-        end out to its reach, run once per source, and answers an edge's far
-        end past the reach by its last hop (module docstring); any other pair
-        the search did not settle reads the full row.
+        Reads a filled row.  Otherwise an edge no heavier than its ends'
+        lightest arcs is its own distance, with no search; any other read
+        takes the search from the smaller end out to its reach, run once per
+        source, and answers an edge's far end past the reach by its last hop
+        (module docstring).  A pair that is not an edge, and that the search
+        did not settle, reads the full row.
         """
         if u > v:
             u, v = v, u
         row = self._rows[u]
         if row is None:
+            adj = self._adjacency()
+            w = self.intw.get((u, v))
+            if w is not None and w <= adj[u][0][0] + adj[v][0][0]:
+                return w  # the certificate, ahead of the record
             record = self._trees.get(u)
             if record is None:
-                adj = self._adjacency()
                 reach = 0  # a term is at most its arc's weight: walk down from the heaviest
                 for w, x in reversed(adj[u]):
                     if w <= reach:

@@ -1,14 +1,15 @@
 """Edge reads: bounded searches against full rows and full trees.
 
-``ApspResult.edge(u, v)`` answers from a search that stops once every vertex
-within ``u``'s reach is settled (the largest ``w(u, v) - low(v)`` over
-``u``'s edges to larger ids, ``low(v)`` being ``v``'s lightest edge), and
-leaves each weight-sorted adjacency list at its first arc past that
-distance; a target the search did not settle is answered by one scan of its
-own list, the last hop.  These tests hold it, the search kernel at any stop
-distance, and every caller that only reads edges, to references that read
-full rows filled by the Python dense kernel and trees from the
-settle-one-at-a-time reference in ``conftest``.
+``ApspResult.edge(u, v)`` answers an edge no heavier than its ends' lightest
+arcs with its weight and no search.  Any other read comes from a search that
+stops once every vertex within ``u``'s reach is settled (the largest ``w(u,
+v) - low(v)`` over ``u``'s edges to larger ids, ``low(v)`` being ``v``'s
+lightest edge), and leaves each weight-sorted adjacency list at its first
+arc past that distance; a target the search did not settle is answered by
+one scan of its own list, the last hop.  These tests hold it, the search
+kernel at any stop distance, and every caller that only reads edges, to
+references that read full rows filled by the Python dense kernel and trees
+from the settle-one-at-a-time reference in ``conftest``.
 """
 
 from __future__ import annotations
@@ -76,14 +77,15 @@ def _raised(intw: dict, rng: random.Random) -> dict:
     return {**intw, **dict.fromkeys(support, cap)}
 
 
-def _reach(weights: dict, u: int) -> int:
-    """How far an edge read searches from ``u``: its largest ``w(u, v) -
-    low(v)`` over edges to larger ids, 0 without one."""
+def _failing(weights: dict) -> dict:
+    """The edges the certificate ``w(u, v) <= low(u) + low(v)`` leaves to a
+    search, each with its term ``w(u, v) - low(v)``; ``low(x)`` is ``x``'s
+    lightest edge."""
     low: dict = {}
     for (a, b), w in weights.items():
         low[a] = min(low.get(a, w), w)
         low[b] = min(low.get(b, w), w)
-    return max((w - low[b] for (a, b), w in weights.items() if a == u), default=0)
+    return {(a, b): w - low[b] for (a, b), w in weights.items() if w > low[a] + low[b]}
 
 
 def test_edge_reads_match_full_rows_and_trees():
@@ -98,14 +100,19 @@ def test_edge_reads_match_full_rows_and_trees():
                 assert result.edge(u, v) == full.rows[u][v]
                 if full.rows[u][v] < w:
                     assert result.path(u, v) == full.path(u, v)
-            # Only bounded searches ran: no row is filled, and each source's
-            # record settled exactly the vertices within its reach, and each
-            # edge's far end past the reach got its entry from the last hop;
-            # both carry the full search's distance and canonical parent.
+            # Only bounded searches ran, from exactly the sources of edges
+            # that fail the certificate: no row is filled, each such record
+            # settled exactly the vertices within its reach (the largest
+            # term of its failing edges), and each failing edge's far end
+            # past the reach got its entry from the last hop; both carry the
+            # full search's distance and canonical parent.
+            failing = _failing(weights)
             assert result._rows == [None] * g.n
+            assert set(result._trees) == {a for (a, _) in failing}
             for u, (drow, parents) in result._trees.items():
-                reach, tree = _reach(weights, u), full.tree(u)
-                targets = {b for (a, b) in weights if a == u}
+                reach = max(t for (a, _), t in failing.items() if a == u)
+                tree = full.tree(u)
+                targets = {b for (a, b) in failing if a == u}
                 for x in range(g.n):
                     within = full.rows[u][x] is not None and full.rows[u][x] <= reach
                     if within or x in targets:
@@ -235,6 +242,52 @@ def test_filled_rows_answer_edge_reads_without_a_search(monkeypatch):
     assert result._adj == [sorted(arcs, key=itemgetter(0)) for arcs in in_map_order]
 
 
+def test_the_certificate_at_its_boundary(monkeypatch):
+    # An edge exactly as heavy as its ends' lightest arcs is its own
+    # distance: the read runs no search and writes no record, even with a
+    # tied 2-path through a smaller id, and the path read still finds that
+    # canonical path.  One unit heavier, over a 2-path of the bound's
+    # weight, the read searches and returns the shorter distance.
+    searches = []
+    real = paths._dijkstra
+
+    def recording(adj, source, limit):
+        searches.append(source)
+        return real(adj, source, limit)
+
+    monkeypatch.setattr(paths, "_dijkstra", recording)
+
+    def reads(edges: list, n: int = 3) -> tuple[ApspResult, _FullRows]:
+        g = WeightedGraph(n, edges)
+        scale, intw = g.integer_form()
+        searches.clear()
+        return ApspResult(g.n, scale, intw), _FullRows(g.n, intw)
+
+    result, full = reads([(0, 1, 2), (0, 2, 3), (1, 2, 5)])  # low = 2, 2, 3
+    assert result.edge(2, 1) == 5 and searches == [] and result._trees == {}
+    assert result.path(1, 2) == full.path(1, 2) == (1, 0, 2)
+    result, full = reads([(0, 1, 2), (0, 2, 3), (1, 2, 6)])
+    assert result.edge(1, 2) == 5 and searches == [1]
+    assert result.path(1, 2) == full.path(1, 2) == (1, 0, 2)
+    # A certified edge whose far end lies past its source's reach, read
+    # after the source searched for a failing edge: still no search, and
+    # nothing is written to the record.
+    result, full = reads([(0, 1, 1), (0, 2, 4), (2, 3, 2), (0, 4, 6), (4, 5, 5)], n=6)
+    assert result.edge(0, 2) == 4 and searches == [0]
+    assert result.edge(0, 4) == 6 and searches == [0]
+    assert (result._trees[0][0][4], result._trees[0][1][4]) == (None, None)
+    assert result.path(0, 4) == full.path(0, 4)
+    # Zero-weight lightest arcs: a zero edge passes, any heavier one fails.
+    result, full = reads([(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+    assert (result.edge(0, 1), result.edge(1, 2)) == (0, 0) and searches == []
+    assert result.edge(0, 2) == 0 and searches == [0]
+    assert [result.path(0, v) for v in range(3)] == [full.path(0, v) for v in range(3)]
+    # A read from an isolated vertex, of a pair that is not an edge.
+    result, full = reads([(1, 2, 1)])
+    assert (result.edge(0, 1), result.edge(2, 0), result.edge(0, 0)) == (None, None, 0)
+    assert [result.path(0, v) for v in range(3)] == [(0,), None, None]
+
+
 # -- solvers against full-row references ---------------------------------------
 
 
@@ -338,9 +391,11 @@ def test_solvers_match_full_row_references():
 
 
 def test_edge_checks_on_the_tight_cycle_settle_few_vertices(monkeypatch):
-    # cycle_tight(300): a unit edge's search settles its 3 vertices, and only
-    # vertex 0, whose heavy edge reaches around the cycle, settles all 300.
-    # Full searches settle n^2 = 90,000 vertices per walk over the edges.
+    # cycle_tight(300): every unit edge is no heavier than its ends' lightest
+    # arcs, so its read runs no search, before the repair and after it.  Only
+    # vertex 0, whose heavy edge reaches around the cycle, searches.  Before
+    # that certificate, each unit edge's search settled its 3 vertices, n - 1
+    # searches per walk; full searches settle n^2 = 90,000 vertices.
     settled = []
     real = paths._dijkstra
 
@@ -353,18 +408,19 @@ def test_edge_checks_on_the_tight_cycle_settle_few_vertices(monkeypatch):
     n = 300
     g = cycle_tight(n)
     delta = decrease_repair(g)
-    assert sum(settled) <= 4 * n
+    assert len(settled) == 1 and sum(settled) <= n
     repaired = apply_delta(g, delta)
     settled.clear()
-    assert is_metric(repaired)  # reads every edge: one search per source but n - 1
-    assert len(settled) == n - 1 and sum(settled) <= 4 * n
+    assert is_metric(repaired)  # reads every edge
+    assert len(settled) == 1 and sum(settled) <= n
 
 
 def test_edge_reads_settle_only_the_vertices_within_the_reach(monkeypatch):
-    # Exact counts of vertices the edge searches settle, on a random metric
-    # graph (every edge read, all tight) and on the repaired tight cycle.
-    # Searching out to each source's heaviest edge to a larger id instead
-    # settles 3,048 and 1,193.
+    # Exact counts of edge searches and of the vertices they settle, on a
+    # random metric graph (every edge read, all tight) and on the repaired
+    # tight cycle.  Without the certificate, searching from every source out
+    # to its reach, they are (101, 1437) and (299, 597); out to each source's
+    # heaviest edge to a larger id instead, 3,048 and 1,193 settled.
     settled = []
     real = paths._dijkstra
 
@@ -378,43 +434,55 @@ def test_edge_reads_settle_only_the_vertices_within_the_reach(monkeypatch):
     repaired = apply_delta(cycle_tight(300), decrease_repair(cycle_tight(300)))
     monkeypatch.setattr(paths, "_dijkstra", counting)
     assert is_metric(metric)
-    assert (len(settled), sum(settled)) == (101, 1437)
+    assert (len(settled), sum(settled)) == (84, 1409)
     settled.clear()
     assert is_metric(repaired)
-    assert (len(settled), sum(settled)) == (299, 597)
+    assert (len(settled), sum(settled)) == (1, 299)
 
 
 def test_bounded_search_leaves_a_heavy_hub_list_at_its_first_arc():
     # Vertex 0's one edge is a light edge to hub 1, which also has 1,000 heavy
-    # edges.  Vertex 0's reach is 0 (the edge is the hub's lightest), so the
-    # search from 0 never reaches the hub, and the last hop for (0, 1) reads
-    # two hub arcs: the one back to 0, then the first heavy one, past the
-    # best distance.  The other 999 stay unread, also when the edge is read
-    # again from its larger end.
-    g = WeightedGraph(1002, [(0, 1, 1)] + [(1, x, 100) for x in range(2, 1002)])
-    scale, intw = g.integer_form()
-    result = ApspResult(g.n, scale, intw)
-    adj = result._adjacency()
-    scanned = []
+    # edges.  That edge is the lightest arc of both its ends, so it passes
+    # the certificate: its read returns the weight and reads no arc.
+    def hub(light: list) -> tuple[ApspResult, list]:
+        g = WeightedGraph(1004, light + [(1, x, 100) for x in range(2, 1002)])
+        scale, intw = g.integer_form()
+        result = ApspResult(g.n, scale, intw)
+        adj = result._adjacency()
+        scanned = []
 
-    class CountingArcs(list):
-        def __iter__(self):
-            for arc in super().__iter__():
-                scanned.append(arc)
-                yield arc
+        class CountingArcs(list):
+            def __iter__(self):
+                for arc in super().__iter__():
+                    scanned.append(arc)
+                    yield arc
 
-    adj[1] = CountingArcs(adj[1])
-    assert result.edge(0, 1) == 1
-    assert scanned == [(1, 0), (100, 2)]
-    assert result.edge(1, 0) == 1
-    assert scanned == [(1, 0), (100, 2)] and result._rows[1] is None
+        adj[1] = CountingArcs(adj[1])
+        return result, scanned
+
+    result, scanned = hub([(0, 1, 1)])
+    assert result.edge(0, 1) == 1 and result.edge(1, 0) == 1
+    assert scanned == [] and result._trees == {}
+    # With a lighter edge at each end, the hub edge fails the certificate.
+    # Vertex 0's reach is 2 (the edge's weight less the hub's lightest arc),
+    # so the search from 0 never reaches the hub, and the last hop for
+    # (0, 1) reads three hub arcs: the light one, the one back to 0, then
+    # the first heavy one, past the best distance.  The other 999 stay
+    # unread, also when the edge is read again from its larger end.
+    result, scanned = hub([(0, 1, 3), (0, 1002, 1), (1, 1003, 1)])
+    assert result.edge(0, 1) == 3
+    assert scanned == [(1, 1003), (3, 0), (100, 2)] and list(result._trees) == [0]
+    assert result.edge(1, 0) == 3
+    assert scanned == [(1, 1003), (3, 0), (100, 2)] and result._rows[1] is None
 
 
 def test_later_cover_batches_search_only_from_still_broken_edges(monkeypatch):
     # A planted sparse graph whose covers take two batches.  Batch one
-    # searches from every source; each later batch searches once from each
-    # source of an edge the batch before found broken and left in the
-    # working graph, and from no other.
+    # searches from exactly the sources of the edges that fail the
+    # certificate; each later batch searches once from each source of an
+    # edge the batch before found broken and left in the working graph, if
+    # that edge fails the certificate on the new working graph, and from no
+    # other.
     rng = random.Random(7)
     n = 60
     metric = metric_closure_weights(n, random_connected_graph(n, 3 * n, rng), rng, (1, 20))
@@ -435,15 +503,18 @@ def test_later_cover_batches_search_only_from_still_broken_edges(monkeypatch):
 
     monkeypatch.setattr(approx, "_scaled_apsp", recording_apsp)
     monkeypatch.setattr(paths, "_dijkstra", recording_search)
-    for solver in (shortest_path_cover, general_shortest_path_cover):
+    # Searches per batch.  Without the certificate batch one searches from
+    # every source of an edge, (52, 10, 1) and (52, 8, 0).
+    for solver, counts in ((shortest_path_cover, [43, 9, 1]),
+                           (general_shortest_path_cover, [43, 7, 0])):
         del maps[:], results[:], searches[:]
         report = solver(g)
         assert len(report.batches) >= 2 and len(results) == report.iterations
         sources = [[s for adj, s in searches if adj is r._adj] for r in results]
-        assert sorted(sources[0]) == sorted({u for (u, _) in maps[0]})
+        assert sorted(sources[0]) == sorted({u for (u, _) in _failing(maps[0])})
         for before, after, later in zip(maps, maps[1:], sources[1:]):
             full = _FullRows(n, before)
             still_broken = {u for (u, v), w in before.items()
-                            if full.rows[u][v] < w and (u, v) in after}
+                            if full.rows[u][v] < w and (u, v) in _failing(after)}
             assert sorted(later) == sorted(still_broken)
-        assert sum(map(len, sources[1:])) < len(sources[0]) // 4
+        assert [len(x) for x in sources] == counts
