@@ -5,13 +5,22 @@ Distances stay on the integer scale the graph stores (``integer_form()``):
 unreachable), so callers compare it with scaled edge weights exactly, and a
 ``Fraction`` is built only when ``dist()`` is read.  Two engines must agree:
 
-* ``dense`` -- matrix relaxation (Floyd-Warshall) filling every row at once,
-  through a vectorized numpy int64 loop on large instances whose distances
-  fit comfortably in 64 bits and over Python ints otherwise.  It runs when
-  ``m > n^2/4``.  The Python loop relaxes each unordered pair once per pivot
-  and writes the result to both halves: the matrix stays symmetric, and
-  pivot ``k``'s row and column do not change while it runs (``d(k, k) = 0``,
-  weights are nonnegative), so this is the full relaxation's result.
+* ``dense`` -- matrix relaxation (Floyd-Warshall) filling every row at once.
+  It runs when ``m > n^2/4``.  From ``_NUMPY_MIN_N`` (64) vertices, while
+  the sentinel (the "unreached" value ``_sentinel``) stays below
+  ``_INT64_SAFE`` (2^62), it is a vectorized numpy int64 loop; otherwise it
+  is the lane kernel.  That kernel holds row ``i`` as one Python int whose
+  lane ``j``, ``L = bitlen(2 * sentinel) + 1`` bits wide, is ``d(i, j)``.
+  Every value a relaxation forms is below ``2 * sentinel < 2^(L-1)``, so
+  each lane's top bit is a free guard bit.  With ``b`` the candidate row
+  ``row_k + d(i, k)`` in every lane and ``a`` row ``i``, ``((b | guard) -
+  a) & guard`` keeps the guard bit exactly where ``b >= a``, and no borrow
+  crosses a lane, since each lane computes ``2^(L-1) + b - a``, which lies
+  in ``(0, 2^L)`` (Lamport's guard-bit compare).  The lanes whose guard
+  cleared take ``b``'s bits.  Reading ``d(i, k)`` from row ``k`` is exact
+  because the matrix stays symmetric, and pivot ``k``'s row and column do
+  not change while it runs (``d(k, k) = 0``, weights are nonnegative), so
+  this is the full relaxation's result.
 * ``sparse`` -- priority-queue search (Dijkstra; weights are nonnegative),
   run for a source the first time its row is read.  It runs otherwise.
 
@@ -243,7 +252,7 @@ def _scaled_apsp(n: int, scale: int, intw: dict[tuple[int, int], int]) -> ApspRe
     """
     if not _is_dense(n, len(intw)):
         return ApspResult(n, scale, intw)
-    kernel = _dense_int_numpy if _numpy_kernel_runs(n, intw) else _dense_int_python
+    kernel = _dense_int_numpy if _numpy_kernel_runs(n, intw) else _dense_int_lanes
     return ApspResult(n, scale, intw, kernel(n, intw, _sentinel(n, intw)))
 
 
@@ -266,26 +275,34 @@ def _sentinel(n: int, intw) -> int:
 # -- dense engine -----------------------------------------------------------
 
 
-def _dense_int_python(n: int, intw, sentinel: int) -> list[list[int | None]]:
-    d = [[sentinel] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = 0
+def _dense_int_lanes(n: int, intw, sentinel: int) -> list[list[int | None]]:
+    # Row i is one int whose lane j, bits [j*L, (j+1)*L), holds d(i, j); each
+    # lane's top bit is a guard (module docstring).  The flags of the lanes
+    # that lose become full-lane masks by a shift and a subtraction: a
+    # multiply by 2^L - 1 is far slower on wide lanes.
+    lane = (2 * sentinel).bit_length() + 1
+    mask = (1 << lane) - 1
+    shifts = range(0, n * lane, lane)
+    ones = sum(1 << s for s in shifts)
+    guard = ones << (lane - 1)
+    full = sentinel * ones
+    rows = [full - (sentinel << s) for s in shifts]
     for (u, v), w in intw.items():
-        d[u][v] = w
-        d[v][u] = w
+        rows[u] -= (sentinel - w) << (v * lane)
+        rows[v] -= (sentinel - w) << (u * lane)
     for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = dk[i]  # == d[i][k]: d stays symmetric
-            if dik >= sentinel:
+        row_k = rows[k]
+        # d(k, i) == d(i, k): the matrix stays symmetric.
+        for i, d_ik in enumerate([(row_k >> s) & mask for s in shifts]):
+            if d_ik >= sentinel or i == k:
                 continue
-            row = d[i]
-            for j in range(i + 1, n):
-                alt = dik + dk[j]
-                if alt < row[j]:
-                    row[j] = alt
-                    d[j][i] = alt
-    return _unreached_to_none(d, sentinel)
+            b = row_k + d_ik * ones
+            a = rows[i]
+            keep = ((b | guard) - a) & guard  # guard bit set where b >= a
+            if keep != guard:
+                flags = (keep ^ guard) >> (lane - 1)
+                rows[i] = a ^ ((a ^ b) & ((flags << lane) - flags))
+    return _unreached_to_none([[(x >> s) & mask for s in shifts] for x in rows], sentinel)
 
 
 def _dense_int_numpy(n: int, intw, sentinel: int) -> list[list[int | None]]:

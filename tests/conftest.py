@@ -195,6 +195,30 @@ def canonical_parents(n: int, intw: dict, drow: list, source: int) -> tuple:
     return tuple(parent)
 
 
+def full_relaxation(n: int, intw, sentinel: int) -> list[list[int | None]]:
+    """Reference dense rows: every ordered pair relaxed through every pivot,
+    with no use of symmetry; ``None`` where ``sentinel`` stays."""
+    d = [[sentinel] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 0
+    for (u, v), w in intw.items():
+        if w < d[u][v]:
+            d[u][v] = w
+            d[v][u] = w
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            if dik >= sentinel:
+                continue
+            row = d[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < row[j]:
+                    row[j] = alt
+    return [[None if x == sentinel else x for x in row] for row in d]
+
+
 def verifier_subset_walk(g: WeightedGraph, omega):
     """First support, by size then lexicographically, that the Verifier accepts.
 

@@ -8,7 +8,7 @@ lightest edge), and leaves each weight-sorted adjacency list at its first
 arc past that distance; a target the search did not settle is answered by
 one scan of its own list, the last hop.  These tests hold it, the search
 kernel at any stop distance, and every caller that only reads edges, to
-references that read full rows filled by the Python dense kernel and trees
+references that read full rows from the full relaxation and trees
 from the settle-one-at-a-time reference in ``conftest``.
 """
 
@@ -45,18 +45,18 @@ from metric_repair.gadgets import (
     random_connected_graph,
 )
 from metric_repair.graphs import edge_key
-from metric_repair.paths import ApspResult, _dense_int_python, _scaled_apsp
+from metric_repair.paths import ApspResult, _scaled_apsp
 
-from conftest import canonical_parents, random_graph, tree_sweep_graphs
+from conftest import canonical_parents, full_relaxation, random_graph, tree_sweep_graphs
 
 
 class _FullRows:
-    """Every row from the Python dense kernel; paths from the reference tree."""
+    """Every row from the full relaxation; paths from the reference tree."""
 
     def __init__(self, n: int, intw: dict):
         self.n, self.intw = n, intw
         sentinel = max(intw.values(), default=0) * max(n, 1) + 1
-        self.rows = _dense_int_python(n, intw, sentinel)
+        self.rows = full_relaxation(n, intw, sentinel)
 
     def tree(self, u: int) -> tuple:
         return canonical_parents(self.n, self.intw, self.rows[u], u)
@@ -173,7 +173,7 @@ def _edge_read_inputs(draw):
 def test_edge_reads_in_any_order_keep_every_path_canonical(data):
     # Every edge read in both orientations, interleaved in random order with
     # edge reads of any pair and row, tree, path and distance reads, with and
-    # without rows the Python dense kernel filled: an edge read may leave a
+    # without every row filled in advance: an edge read may leave a
     # bounded record, and each later read of its source must answer as the
     # full-row reference does.  Afterwards every pair's path, through a
     # bounded tree or a full one, is the reference's.

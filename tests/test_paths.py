@@ -11,18 +11,24 @@ from hypothesis import strategies as st
 
 from metric_repair import WeightedGraph, apsp, decrease_repair, find_broken_witness, is_metric
 from metric_repair import gadgets, paths
-from metric_repair.paths import ApspResult, _dense_int_numpy, _dense_int_python
+from metric_repair.paths import ApspResult, _dense_int_lanes, _dense_int_numpy
 
-from conftest import all_simple_path_dist, canonical_parents, random_graph, tree_sweep_graphs
+from conftest import (
+    all_simple_path_dist,
+    canonical_parents,
+    full_relaxation,
+    random_graph,
+    tree_sweep_graphs,
+)
 
 
 def _sentinel(g: WeightedGraph) -> int:
     return max(g.integer_form()[1].values(), default=0) * g.n + 1
 
 
-def _python_dense(g: WeightedGraph) -> ApspResult:
+def _lanes_dense(g: WeightedGraph) -> ApspResult:
     scale, intw = g.integer_form()
-    return ApspResult(g.n, scale, intw, _dense_int_python(g.n, intw, _sentinel(g)))
+    return ApspResult(g.n, scale, intw, _dense_int_lanes(g.n, intw, _sentinel(g)))
 
 
 def _searched(g: WeightedGraph) -> ApspResult:
@@ -79,105 +85,109 @@ def test_engines_agree_on_integers_and_fractions():
         frac = WeightedGraph(
             7, ((u, v, g.weight(u, v) / 3) for (u, v) in g.edges))
         for inst in (g, frac):
-            dense, sparse = _python_dense(inst), _searched(inst)
+            dense, sparse = _lanes_dense(inst), _searched(inst)
             for u in range(7):
                 for v in range(7):
                     assert dense.dist(u, v) == sparse.dist(u, v) == apsp(inst).dist(u, v)
 
 
-def _full_relaxation(n: int, intw, sentinel: int) -> list[list[int | None]]:
-    # Reference: every ordered pair relaxed through every pivot, with no use
-    # of symmetry.
-    d = [[sentinel] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = 0
-    for (u, v), w in intw.items():
-        if w < d[u][v]:
-            d[u][v] = w
-            d[v][u] = w
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if dik >= sentinel:
-                continue
-            row = d[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < row[j]:
-                    row[j] = alt
-    return [[None if x == sentinel else x for x in row] for row in d]
-
-
-def _guard_graph(rng: random.Random, top: int) -> WeightedGraph:
-    # n = 64 with weights in [top / 2, top], ``top`` among them, and vertex 63
-    # isolated, so the relaxation adds sentinel to sentinel as well as long
-    # distances.  1,100 edges lie past the dense threshold n^2/4 = 1,024.
-    g = random_graph(rng, 63, 1100, weights=(top // 2, top))
+def _guard_graph(rng: random.Random, n: int, top: int) -> WeightedGraph:
+    # n = 63 or 64 with weights in [top / 2, top], ``top`` among them, and the
+    # last vertex isolated, so the relaxation adds sentinel to sentinel as
+    # well as long distances.  1,100 edges lie past the dense threshold n^2/4.
+    g = random_graph(rng, n - 1, 1100, weights=(top // 2, top))
     weights = {e: g.weight(*e) for e in g.edges}
     weights[g.edges[0]] = top
-    return WeightedGraph(64, ((u, v, w) for (u, v), w in weights.items()))
+    return WeightedGraph(n, ((u, v, w) for (u, v), w in weights.items()))
 
 
 def test_numpy_and_python_dense_kernels_agree(monkeypatch):
-    # numpy int64 rows == Python rows == the full relaxation == searched
-    # Dijkstra rows (== brute-force distances on the small graphs), including
-    # at the int64 guard: at n = 64 a largest weight of 2^56 - 1 gives the
-    # sentinel 2^62 - 63, so numpy runs, and 2^56 gives 2^62 + 1, so the
-    # Python kernel runs.  The last graph adds zero weights and ties at n = 64.
-    numpy_calls = []
-    real_numpy = paths._dense_int_numpy
-    monkeypatch.setattr(paths, "_dense_int_numpy",
-                        lambda *args: numpy_calls.append(args) or real_numpy(*args))
+    # numpy int64 rows == lane rows == the full relaxation == searched
+    # Dijkstra rows (== brute-force distances on the small graphs), and
+    # ``apsp`` runs numpy exactly from n = 64 below the int64 guard and the
+    # lanes otherwise.  At n = 64 a largest weight of 2^56 - 1 gives the
+    # sentinel 2^62 - 63 (numpy) and 2^56 gives 2^62 + 1 (lanes); at n = 63
+    # the sentinels 2^62 - 3 (64-bit lanes) and 2^62 + 60 (65-bit lanes) are
+    # the nearest the sentinel rule allows.  The last graph adds zero weights
+    # and ties.
+    calls = []
+    for name in ("_dense_int_numpy", "_dense_int_lanes"):
+        real = getattr(paths, name)
+        monkeypatch.setattr(paths, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
     small = [random_graph(random.Random(300 + seed), 9, m, weights=(0, 50))
              for seed, m in enumerate((20, 20, 20, 20, 20, 6, 8))]
     rng = random.Random(307)
-    at_guard = [_guard_graph(rng, 2 ** 56 - 1), _guard_graph(rng, 2 ** 56)]
+    below = (2 ** 62 - 2) // 63
+    at_guard = [_guard_graph(rng, 64, 2 ** 56 - 1), _guard_graph(rng, 64, 2 ** 56),
+                _guard_graph(rng, 63, below), _guard_graph(rng, 63, below + 1)]
     core = random_graph(rng, 63, 1100, weights=(0, 3))
     plateaus = WeightedGraph(64, ((u, v, core.weight(u, v)) for (u, v) in core.edges))
-    for g in small + at_guard + [plateaus]:
+    # The small graphs are sparse (m <= 20 < 9^2 / 4) and run no kernel.
+    expected = [[]] * len(small) + [[name] for name in (
+        "_dense_int_numpy", "_dense_int_lanes", "_dense_int_lanes", "_dense_int_lanes",
+        "_dense_int_numpy")]
+    for g, runs in zip(small + at_guard + [plateaus], expected, strict=True):
         scale, intw = g.integer_form()
         sentinel = _sentinel(g)
-        python_rows = _dense_int_python(g.n, intw, sentinel)
-        assert python_rows == _full_relaxation(g.n, intw, sentinel)
+        rows = full_relaxation(g.n, intw, sentinel)
+        assert _dense_int_lanes(g.n, intw, sentinel) == rows
         searched = _searched(g)
-        assert python_rows == [searched.row(u) for u in range(g.n)]
+        assert rows == [searched.row(u) for u in range(g.n)]
         if sentinel < 2 ** 62:
-            assert _dense_int_numpy(g.n, intw, sentinel) == python_rows
-        numpy_calls.clear()
-        assert [apsp(g).row(u) for u in range(g.n)] == python_rows
-        assert len(numpy_calls) == (g.n >= 64 and sentinel < 2 ** 62)
-        if g.n < 64:
+            assert _dense_int_numpy(g.n, intw, sentinel) == rows
+        calls.clear()
+        assert [apsp(g).row(u) for u in range(g.n)] == rows
+        assert calls == runs
+        assert paths._numpy_kernel_runs(g.n, intw) == (runs == ["_dense_int_numpy"])
+        if g.n < 10:
             assert [[all_simple_path_dist(g, u, v) for v in range(g.n)]
                     for u in range(g.n)] == \
                 [[None if x is None else Fraction(x, scale) for x in row]
-                 for row in python_rows]
-    assert [_sentinel(g) for g in at_guard] == [2 ** 62 - 63, 2 ** 62 + 1]
+                 for row in rows]
+    assert [_sentinel(g) for g in at_guard] == [2 ** 62 - 63, 2 ** 62 + 1,
+                                                2 ** 62 - 3, 2 ** 62 + 60]
     assert all(g.m > g.n ** 2 / 4 for g in at_guard)
 
 
 @st.composite
 def kernel_inputs(draw):
     # Graphs of up to 12 vertices, the last one possibly isolated, with each
-    # pair present or not and weights from a small range (zeros and ties) or
-    # a wide one.
-    n = draw(st.integers(min_value=1, max_value=12))
+    # pair present or not and weights from a small range (zeros and ties), a
+    # wide one, one whose sentinel lands just under 2^62 (64-bit lanes, the
+    # widest numpy could hold), or one far past it.
+    n = draw(st.integers(min_value=0, max_value=12))
     isolated = n > 1 and draw(st.booleans())
-    top = draw(st.sampled_from((0, 1, 3, 10 ** 6)))
+    top = draw(st.sampled_from((0, 1, 3, 10 ** 6, None, 2 ** 200)))
+    low, top = (0, top) if top is not None else _widest(n)
     pairs = list(combinations(range(n - isolated), 2))
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    weights = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(low, top), min_size=len(pairs), max_size=len(pairs)))
     return n, {e: w for e, keep, w in zip(pairs, present, weights) if keep}
+
+
+def _widest(n: int) -> tuple[int, int]:
+    # Weights whose sentinel, largest weight * n + 1, is in [2^62 - 3n, 2^62)
+    # whenever an edge is present.
+    top = (2 ** 62 - 2) // max(n, 1)
+    return top - 2, top
 
 
 # K_7 plus an isolated vertex: 21 > 8^2 / 4 edges, dense yet disconnected.
 @example((8, {e: (e[0] * 5 + e[1]) % 4 for e in combinations(range(7), 2)}))
+@example((0, {}))
+@example((1, {}))
+@example((2, {(0, 1): _widest(2)[1]}))
+@example((2, {}))
+# The widest lanes on a 4-cycle plus one isolated vertex.
+@example((5, {(0, 1): _widest(5)[1], (1, 2): _widest(5)[0], (2, 3): _widest(5)[1],
+              (0, 3): _widest(5)[1]}))
 @given(kernel_inputs())
 @settings(max_examples=300, deadline=None)
 def test_symmetric_python_kernel_equals_the_full_relaxation(data):
     n, intw = data
     sentinel = max(intw.values(), default=0) * n + 1
-    assert _dense_int_python(n, intw, sentinel) == _full_relaxation(n, intw, sentinel)
+    assert _dense_int_lanes(n, intw, sentinel) == full_relaxation(n, intw, sentinel)
 
 
 def _counting_searches(monkeypatch) -> list:
@@ -258,7 +268,7 @@ def test_path_reconstruction_is_deterministic():
                                  (3, 4, 0), (3, 5, 0), (4, 5, 0), (4, 6, 2), (5, 6, 2),
                                  (6, 7, 0), (0, 7, 4)])
     for g in (random_graph(rng, 7, 14, weights=(0, 5)), plateaus):
-        dense = _python_dense(g)
+        dense = _lanes_dense(g)
         rebuilt = apsp(WeightedGraph(g.n, ((u, v, g.weight(u, v)) for (u, v) in g.edges)))
         searched = _searched(g)
         for u in range(g.n):
@@ -280,11 +290,11 @@ def _assert_canonical_trees(result: ApspResult) -> None:
 
 def test_search_trees_match_canonical_reference():
     # The tree each search builds equals the settle-one-at-a-time reference
-    # for every source, on rows the Python dense kernel filled, on lazily
+    # for every source, on rows the lane kernel filled, on lazily
     # searched rows and through apsp's automatic choice.
     count = 0
     for g in tree_sweep_graphs():
-        for result in (_python_dense(g), _searched(g), apsp(g)):
+        for result in (_lanes_dense(g), _searched(g), apsp(g)):
             _assert_canonical_trees(result)
         count += 1
     assert count == 200
