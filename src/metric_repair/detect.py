@@ -18,6 +18,22 @@ its path form: a cycle is broken with top edge ``(u, v)`` exactly when the
 rest of it is a u-v path lighter than ``w(u, v)``, so it searches only such
 paths and never lists a cycle that holds.  ``is_metric`` is
 ``find_broken_witness(g) is None``, so there is one edge walk.
+
+On a complete graph the walk runs only when some triangle breaks, because
+there a triangle-free graph is metric: by induction on its length, no path
+between an edge's ends is lighter than the edge.  The triangle test is
+``_top_edge``'s three-term form, vectorized.  Row ``u`` is one int whose lane
+``x`` holds ``w(u, x)`` (lane ``u`` holds 0), ``L = bitlen(2 * max) + 1``
+bits wide, so each lane's top bit is a free guard bit (``paths._lanes``).  For
+an edge ``(u, v)`` of weight ``a``, ``((row_u + row_v) | guard) - a * ones``
+computes ``2^(L-1) + w(u, x) + w(x, v) - a`` in every lane ``x``: the sum is
+at most ``2 * max < 2^(L-1)`` and ``a <= max``, so each lane's result lies in
+``(0, 2^L)``, no carry or borrow crosses a lane, and the guard bit clears
+exactly where ``w(u, x) + w(x, v) < a`` (the guard-bit compare of
+``paths._dense_int_lanes``).  Lanes ``u`` and ``v`` hold ``a + 0`` and never
+clear.  The answer is kept on the graph, in its APSP cache under
+``"witness"``: graphs are immutable, and a matrix view shares its graph's
+cache, so ``is_metric`` and then ``find_broken_witness`` compute it once.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from .graphs import (
     OmegaClass,
     WeightedGraph,
 )
-from .paths import apsp
+from .paths import _lanes, apsp
 
 
 def is_metric(g: WeightedGraph) -> bool:
@@ -44,8 +60,18 @@ def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
 
     Scans edges in lexicographic order; the first edge that is strictly longer
     than the distance between its endpoints is the top edge of a broken cycle,
-    closed by the canonical shortest path.
+    closed by the canonical shortest path.  A complete graph with no broken
+    triangle is metric, so there the scan runs only after the lane test finds
+    one.  The answer is computed once per graph (module docstring).
     """
+    cache = g._apsp_cache
+    if "witness" not in cache:
+        cache["witness"] = (None if g.is_complete() and not _breaks_a_triangle(g)
+                            else _first_broken_edge(g))
+    return cache["witness"]
+
+
+def _first_broken_edge(g: WeightedGraph) -> BrokenCycleWitness | None:
     d = apsp(g)
     for (u, v) in g.edges:
         if d.edge(u, v) < d.intw[(u, v)]:
@@ -53,6 +79,30 @@ def find_broken_witness(g: WeightedGraph) -> BrokenCycleWitness | None:
             assert path is not None and len(path) >= 3
             return BrokenCycleWitness(cycle=path, top_edge=(u, v))
     return None
+
+
+def _breaks_a_triangle(g: WeightedGraph) -> bool:
+    # The lane test of the module docstring, on a complete graph.  A row is
+    # packed from its highest lane down, which beats or-ing each weight into
+    # the full-width int.  ``(row_u | guard) + row_v`` is ``(row_u + row_v) |
+    # guard``, since no lane sum reaches its guard bit.
+    n = g.n
+    _, intw = g.integer_form()
+    lane, _, ones, guard = _lanes(n, max(intw.values(), default=0))
+    cells = [[0] * n for _ in range(n)]
+    for (u, v), a in intw.items():
+        cells[u][v] = cells[v][u] = a
+    rows = []
+    for cell in cells:
+        row = 0
+        for a in reversed(cell):
+            row = (row << lane) | a
+        rows.append(row)
+    guarded = [row | guard for row in rows]
+    for (u, v), a in intw.items():
+        if ((guarded[u] + rows[v] - a * ones) & guard) != guard:
+            return True
+    return False
 
 
 def broken_triangles(g: WeightedGraph) -> tuple[BrokenCycleWitness, ...]:

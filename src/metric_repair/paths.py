@@ -91,6 +91,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 
 from .graphs import WeightedGraph
@@ -275,16 +276,23 @@ def _sentinel(n: int, intw) -> int:
 # -- dense engine -----------------------------------------------------------
 
 
+def _lanes(n: int, top: int) -> tuple[int, range, int, int]:
+    """``n`` lanes for values up to ``top``: the width ``L = bitlen(2 * top) +
+    1``, the lanes' bit offsets, a 1 in every lane and every lane's guard bit.
+    A sum of two values fits below the guard, ``2 * top < 2^(L-1)``."""
+    lane = (2 * top).bit_length() + 1
+    shifts = range(0, n * lane, lane)
+    ones = sum(1 << s for s in shifts)
+    return lane, shifts, ones, ones << (lane - 1)
+
+
 def _dense_int_lanes(n: int, intw, sentinel: int) -> list[list[int | None]]:
     # Row i is one int whose lane j, bits [j*L, (j+1)*L), holds d(i, j); each
     # lane's top bit is a guard (module docstring).  The flags of the lanes
     # that lose become full-lane masks by a shift and a subtraction: a
     # multiply by 2^L - 1 is far slower on wide lanes.
-    lane = (2 * sentinel).bit_length() + 1
+    lane, shifts, ones, guard = _lanes(n, sentinel)
     mask = (1 << lane) - 1
-    shifts = range(0, n * lane, lane)
-    ones = sum(1 << s for s in shifts)
-    guard = ones << (lane - 1)
     full = sentinel * ones
     rows = [full - (sentinel << s) for s in shifts]
     for (u, v), w in intw.items():
@@ -310,7 +318,7 @@ def _dense_int_numpy(n: int, intw, sentinel: int) -> list[list[int | None]]:
 
     d = np.full((n, n), sentinel, dtype=np.int64)
     np.fill_diagonal(d, 0)
-    u, v = np.array(list(intw)).T
+    u, v = np.fromiter(chain.from_iterable(intw), np.int64, 2 * len(intw)).reshape(-1, 2).T
     w = np.fromiter(intw.values(), np.int64, len(intw))
     d[u, v] = w
     d[v, u] = w

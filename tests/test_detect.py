@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_repair import (
+    DistanceMatrix,
     EnumerationBudgetError,
     OmegaClass,
     WeightedGraph,
@@ -22,14 +23,17 @@ from metric_repair import (
     longest_broken_cycle_len,
     verify_support,
 )
+from metric_repair import detect
 from metric_repair.detect import cover_masks, edge_bits
 from metric_repair.exact import RejectionReason, _verify
 from metric_repair.gadgets import planted_complete, random_chordal_edges
 from metric_repair.graphs import BrokenCycleWitness, _top_edge, edge_key
+from metric_repair.paths import _lanes, apsp
 
 from conftest import (
     broken_cycles_brute,
     enumerate_cycles_by_permutation,
+    full_relaxation,
     is_metric_brute,
     random_graph,
     tree_sweep_graphs,
@@ -391,3 +395,127 @@ def test_determinism_of_witnesses():
     h = WeightedGraph(6, ((u, v, g.weight(u, v)) for (u, v) in g.edges))
     assert find_broken_witness(g) == find_broken_witness(h)
     assert broken_triangles(g) == broken_triangles(h)
+
+
+# -- the lane test behind is_metric on complete graphs --------------------------
+
+
+def walk_witness(g):
+    """The witness of the APSP edge walk, from reference rows: the first edge
+    in lexicographic order longer than its distance, closed by the canonical
+    path."""
+    _, intw = g.integer_form()
+    rows = full_relaxation(g.n, intw, max(intw.values(), default=0) * max(g.n, 1) + 1)
+    for (u, v) in g.edges:
+        if rows[u][v] < intw[(u, v)]:
+            return BrokenCycleWitness(apsp(g).path(u, v), (u, v))
+    return None
+
+
+def decided_by_lanes(g):
+    """Whether ``find_broken_witness`` answered ``g`` with no shortest paths."""
+    return set(g._apsp_cache) == {"witness"}
+
+
+@st.composite
+def complete_graphs(draw):
+    """Complete graphs, n = 0..12: zero weights, ties, scale > 1 and scaled
+    weights past 2^62.  The [c, 2c] families are metric, ties included."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    weight = draw(st.sampled_from((
+        st.just(0), st.integers(0, 1), st.integers(0, 3), st.integers(5, 10),
+        st.integers(2 ** 62, 2 ** 63), st.integers(0, 2 ** 63),
+        st.builds(Fraction, st.integers(0, 9), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(10, 20), st.just(3)),
+        st.builds(Fraction, st.integers(1, 3), st.sampled_from(BIG_PRIMES)))))
+    pairs = list(combinations(range(n), 2))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
+@given(complete_graphs())
+@settings(max_examples=300, deadline=None)
+def test_complete_graph_witness_equals_the_walk(g):
+    witness = find_broken_witness(g)
+    assert decided_by_lanes(g) == (witness is None)  # a metric graph runs no APSP
+    assert witness == walk_witness(g)
+    assert (broken_triangles(g) == ()) == is_metric(g) == (witness is None)
+
+
+def counted(monkeypatch, name):
+    """Count the calls of ``detect.<name>``."""
+    calls = []
+    original = getattr(detect, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(detect, name, wrapper)
+    return calls
+
+
+def test_metric_matrix_is_decided_without_shortest_paths(monkeypatch):
+    searches = counted(monkeypatch, "apsp")
+    g = planted_complete(40, 0, seed=1).instance.to_graph()
+    assert is_metric(g) and find_broken_witness(g) is None
+    assert searches == [] and decided_by_lanes(g)
+
+
+def test_witness_is_computed_once_per_graph(monkeypatch):
+    tests, searches = counted(monkeypatch, "_breaks_a_triangle"), counted(monkeypatch, "apsp")
+    matrix = planted_complete(40, 1, seed=1).instance.to_graph()
+    graph = WeightedGraph(matrix.n, ((u, v, matrix.weight(u, v)) for (u, v) in matrix.edges))
+    assert not is_metric(matrix) and not is_metric(graph)
+    witness = find_broken_witness(matrix)
+    witness.check(matrix)
+    # A matrix view shares its graph's memo.
+    assert find_broken_witness(DistanceMatrix.from_graph(graph)) == witness
+    assert len(tests) == len(searches) == 2  # once per graph
+    assert set(matrix._apsp_cache) == set(graph._apsp_cache) == {"dense", "witness"}
+    assert witness == walk_witness(matrix)
+
+
+def test_graphs_that_are_not_complete_take_the_walk():
+    # The lane test, with a missing edge read as weight 0, would pass this
+    # path; on a graph that is not complete the edge walk decides all the same.
+    path = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    assert is_metric(path) and set(path._apsp_cache) == {"sparse", "witness"}
+    square = WeightedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    assert broken_triangles(square) == () and not is_metric(square)
+    assert find_broken_witness(square) == BrokenCycleWitness((0, 3, 2, 1), (0, 1))
+
+
+def straddling_triangle(top, off):
+    """Five vertices, every weight ``top`` except the triangle (0, 1, 2): its
+    two light edges sum to ``top - off``, so it ties at ``off = 0`` and breaks
+    by one unit at ``off = 1``.  The other lanes sum to ``2 * top``, the widest
+    value a lane holds."""
+    half = top // 2
+    light = {(0, 2): half, (1, 2): top - half - off}
+    return WeightedGraph(5, [(u, v, light.get((u, v), top))
+                             for (u, v) in combinations(range(5), 2)])
+
+
+@pytest.mark.parametrize("top", [2 ** k + d for k in (31, 62, 63) for d in (-1, 0)])
+def test_lane_width_at_its_steps(top):
+    # The narrowest lane that holds 2 * top below its guard bit.
+    width = _lanes(5, top)[0]
+    assert 2 ** (width - 2) <= 2 * top < 2 ** (width - 1)
+    tie = straddling_triangle(top, 0)
+    scale, intw = tie.integer_form()
+    assert scale == 1 and max(intw.values()) == top
+    assert is_metric(tie) and decided_by_lanes(tie)
+    broken = straddling_triangle(top, 1)
+    assert find_broken_witness(broken) == BrokenCycleWitness((0, 2, 1), (0, 1)) \
+        == walk_witness(broken)
+
+
+def test_lane_test_on_the_smallest_complete_graphs():
+    zeros = WeightedGraph(4, [(u, v, 0) for (u, v) in combinations(range(4), 2)])
+    assert _lanes(4, 0)[0] == 1  # one bit per lane, all guard
+    for g in (WeightedGraph(0), WeightedGraph(1), WeightedGraph(2, [(0, 1, 7)]), zeros):
+        assert g.is_complete() and is_metric(g) and decided_by_lanes(g)
+    one_up = zeros.replace_weights({(0, 1): Fraction(1, 3)})
+    assert find_broken_witness(one_up) == BrokenCycleWitness((0, 2, 1), (0, 1)) \
+        == walk_witness(one_up)
