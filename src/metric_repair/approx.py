@@ -20,12 +20,12 @@ general variant also claims each taken path's closing edge, for an
 checked complete graph, and work on its scaled integer weights: the former
 greedily covers every broken cycle on at most five vertices, found from each
 top edge by ``detect.broken_cycles``, and then verifies; the latter performs
-a single raising sweep over the integer matrix in one numpy kernel.  Each
-column's pass of the sweep first bounds, for all rows at once, the raise each
-row can get, and steps only the rows whose bound beats their entry.  The
-screen is exact because a pass raises only column ``k`` and its mirror row, so
-no row's bound rises before its step runs; on a metric matrix it passes no
-row.
+a single raising sweep over the integer matrix, each row held as one Python
+int of lanes.  A column's pass keeps the lane-wise maximum of the rows it has
+stepped, from which each next row reads its best raise, and runs only when
+the column is the apex of a triangle broken in the input.  The screen is
+exact: a pass raises only its own column, and a triangle it breaks whose apex
+is a later column it mends before it ends; on a metric matrix no pass runs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .graphs import (
     WeightedGraph,
     edge_key,
 )
-from .paths import _INT64_SAFE, _scaled_apsp
+from .paths import _lanes, _pack, _scaled_apsp
 
 
 class ApproxReport(NamedTuple):
@@ -180,24 +180,20 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
     For each column ``k`` and row ``i`` in order, the entry ``(i, k)`` is
     raised to ``max_j < i (D[i][j] - D[j][k])`` whenever that beats its current
     value, mirroring the update to ``(k, i)`` immediately.  The result is
-    metric and touches at most (n-1)(n-2) matrix cells.  Each column's pass
-    computes that maximum for every row up front and steps only the rows it
-    can raise; the bound is exact because the pass changes only column ``k``
-    and row ``k``, and only upward, so no row's maximum rises before its step
-    (``_sweep_numpy``).
-
-    The sweep runs on the graph's scaled integer weights: a raised entry is a
-    difference of two entries, so it never exceeds the largest one, and numpy
-    ``int64`` is exact below ``paths._INT64_SAFE``; past it the same kernel
-    runs on exact Python ints (``dtype=object``).
+    metric and touches at most (n-1)(n-2) matrix cells.  The sweep runs on the
+    graph's scaled integer weights, each row held as one Python int of lanes,
+    and a column's pass runs only when the column is the apex (the corner
+    opposite the top edge) of a triangle broken in the input
+    (``_sweep_lanes``).  A raised entry is a difference of two
+    entries, so it never exceeds the largest one, and the lanes are as exact
+    past 2^62 as below it.
     """
     n = d.n
     scale, intw = d.integer_form()
     int_rows = [[0] * n for _ in range(n)]
     for (i, j), w in intw.items():
         int_rows[i][j] = int_rows[j][i] = w
-    dtype = "int64" if max(intw.values(), default=0) < _INT64_SAFE else object
-    raised = _sweep_numpy(int_rows, dtype)
+    raised, _ = _sweep_lanes(int_rows)
     entries = {(i, j): Fraction(raised[i][j] - w, scale)
                for (i, j), w in intw.items() if raised[i][j] != w}
     return RepairDelta(entries, OmegaClass.INCREASE_ONLY)
@@ -208,33 +204,69 @@ def repaired_cell_count(delta: RepairDelta) -> int:
     return 2 * delta.norm0()
 
 
-def _sweep_numpy(int_rows, dtype) -> list[list[int]]:
-    """The raising sweep on a symmetric integer matrix held as a ``dtype`` array.
+def _sweep_lanes(int_rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """The raising sweep on a symmetric nonnegative integer matrix ``m``: a
+    raised copy, and the number of column passes that ran.
 
-    Each column's pass first bounds every row's best raise in one vectorized
-    step, ``bound[i] = max_j < i (m[i, j] - m[j, k])`` over the strict lower
-    triangle, and then runs the per-row step, in order, only for the rows
-    whose bound beats ``m[i, k]``.  The screen is exact: during column ``k``'s
-    pass only column ``k`` and its mirror row ``k`` change, and only upward,
-    so no term of a row ``i != k`` rises before that row's step, and row ``k``
-    itself is never raised (its best is ``m[k, k] = 0`` by symmetry).  In
-    ``int64`` every term lies in (-2^62, 2^62).
+    Row ``j`` is also one int whose lane ``x`` holds ``m[j][x]``, as wide as
+    ``paths._lanes`` makes it for the largest entry ``top``.  Column ``k``'s
+    pass walks the rows in order and keeps ``best_of``, the lane-wise maximum
+    of ``row_j' + (top - m[j'][k])`` over the rows ``j' < j`` already stepped.
+    By symmetry its lane ``j`` minus ``top`` is ``max_j' < j (m[j][j'] -
+    m[j'][k])``, the step's best raise.  Entries stay in ``[0, top]``, since a
+    raised entry is a difference of two, so no lane exceeds ``2 * top`` and
+    the maximum is the guard-bit compare and select of
+    ``paths._dense_int_lanes``.  A raise of ``(j, k)`` rewrites lane ``k`` of
+    row ``j``, before ``best_of`` folds that row, and lane ``j`` of row ``k``,
+    which ``best_of`` never reads after step ``j``.
+
+    A pass runs only if its column is the apex ``x`` of a triangle broken in
+    the input, ``m[i][x] + m[j][x] < m[i][j]``, found by
+    ``detect._breaks_a_triangle``'s lane test of every edge.  That is exact.
+    A pass whose column is the apex of no broken triangle raises nothing:
+    each term ``m[j][j'] - m[j'][k]`` is at most ``m[j][k]``.  And no pass
+    makes a later column an apex, so by induction the input's apexes are the
+    only ones.  Pass ``k`` raises only entries ``(j, k)``, and once it has
+    stepped rows ``a`` and ``b`` the triangle ``(a, b, k)`` holds, since
+    ``m[a][b]`` stays and ``m[a][k]``, ``m[b][k]`` only rise.  Let ``x > k``
+    be no apex, and let the raise of ``(j, k)`` to ``m[j][j'] - m[j'][k]``
+    break ``(j, k, x)``.  The triangle ``(j, j', x)`` has no edge at ``k``
+    (``j' = k`` gives ``m[j][k]``, no raise), so it still holds, and then ``m[j'][x] > m[j'][k] + m[k][x]``: row ``x``
+    is not stepped yet, and once it is, ``m[k][x] >= m[x][j'] - m[j'][k]``
+    mends ``(j, k, x)``.
     """
-    import numpy as np
-
-    m = np.array(int_rows, dtype=dtype)
-    n = len(int_rows)
-    if n < 2:
-        return m.tolist()
-    rows, cols = np.tril_indices(n, -1)  # row-major: row i holds j = 0..i-1
-    lower = rows * n + cols
-    starts = rows.searchsorted(np.arange(1, n))
-    for k in range(n):
-        col_k = m[:, k]
-        bound = np.maximum.reduceat(m.take(lower) - col_k.take(cols), starts)
-        for i in (np.flatnonzero(bound > col_k[1:]) + 1).tolist():
-            best = int((m[i, :i] - col_k[:i]).max())
-            if best > m[i, k]:
-                m[i, k] = best
-                m[k, i] = best
-    return m.tolist()
+    m = [row[:] for row in int_rows]
+    n = len(m)
+    top = max(map(max, m), default=0)
+    lane, shifts, ones, guard = _lanes(n, top)
+    mask = (1 << lane) - 1
+    rows = [_pack(row, lane) for row in m]
+    held = guard  # the guard bits of the columns that are no apex
+    for i, row in enumerate(rows):
+        guarded = row | guard
+        m_i = m[i]
+        for j in range(i + 1, n):
+            held &= guarded + rows[j] - m_i[j] * ones
+    top_ones = top * ones
+    passes = 0
+    for k, s_k in enumerate(shifts):
+        if held >> (s_k + lane - 1) & 1:
+            continue
+        passes += 1
+        m_k = m[k]
+        best_of = rows[0] + top_ones - m[0][k] * ones
+        for j in range(1, n):
+            m_j = m[j]
+            c = m_j[k]
+            best = (best_of >> shifts[j] & mask) - top
+            if best > c:
+                m_j[k] = m_k[j] = best
+                rows[j] += (best - c) << s_k
+                rows[k] += (best - c) << shifts[j]
+                c = best
+            b = rows[j] + top_ones - c * ones
+            keep = ((best_of | guard) - b) & guard  # guard bit set where best_of >= b
+            if keep != guard:
+                flags = (keep ^ guard) >> (lane - 1)
+                best_of ^= (best_of ^ b) & ((flags << lane) - flags)
+    return m, passes

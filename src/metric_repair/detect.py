@@ -47,7 +47,7 @@ from .graphs import (
     OmegaClass,
     WeightedGraph,
 )
-from .paths import _lanes, apsp
+from .paths import _lanes, _pack, apsp
 
 
 def is_metric(g: WeightedGraph) -> bool:
@@ -82,22 +82,16 @@ def _first_broken_edge(g: WeightedGraph) -> BrokenCycleWitness | None:
 
 
 def _breaks_a_triangle(g: WeightedGraph) -> bool:
-    # The lane test of the module docstring, on a complete graph.  A row is
-    # packed from its highest lane down, which beats or-ing each weight into
-    # the full-width int.  ``(row_u | guard) + row_v`` is ``(row_u + row_v) |
-    # guard``, since no lane sum reaches its guard bit.
+    # The lane test of the module docstring, on a complete graph.
+    # ``(row_u | guard) + row_v`` is ``(row_u + row_v) | guard``, since no
+    # lane sum reaches its guard bit.
     n = g.n
     _, intw = g.integer_form()
     lane, _, ones, guard = _lanes(n, max(intw.values(), default=0))
     cells = [[0] * n for _ in range(n)]
     for (u, v), a in intw.items():
         cells[u][v] = cells[v][u] = a
-    rows = []
-    for cell in cells:
-        row = 0
-        for a in reversed(cell):
-            row = (row << lane) | a
-        rows.append(row)
+    rows = [_pack(cell, lane) for cell in cells]
     guarded = [row | guard for row in rows]
     for (u, v), a in intw.items():
         if ((guarded[u] + rows[v] - a * ones) & guard) != guard:

@@ -286,6 +286,16 @@ def _lanes(n: int, top: int) -> tuple[int, range, int, int]:
     return lane, shifts, ones, ones << (lane - 1)
 
 
+def _pack(cells: list[int], lane: int) -> int:
+    """One int whose lane ``x``, ``lane`` bits wide, holds ``cells[x]``.  It is
+    packed from the highest lane down, which beats or-ing each value into the
+    full-width int."""
+    row = 0
+    for a in reversed(cells):
+        row = (row << lane) | a
+    return row
+
+
 def _dense_int_lanes(n: int, intw, sentinel: int) -> list[list[int | None]]:
     # Row i is one int whose lane j, bits [j*L, (j+1)*L), holds d(i, j); each
     # lane's top bit is a guard (module docstring).  The flags of the lanes

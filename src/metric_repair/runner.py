@@ -69,10 +69,9 @@ def run_algo(instance: WeightedGraph, omega: OmegaClass, algo: str,
     graph = DistanceMatrix.from_graph(instance) if algo in _MATRIX_ONLY else instance
 
     # A solver module loads only for the algorithm that runs, before the clock,
-    # and so does numpy when the solve would load it: the sweep always runs on
-    # it, and these solvers start with shortest paths of the whole graph.
-    if algo == "iomr" or (algo in _WHOLE_GRAPH_APSP
-                          and _numpy_kernel_runs(graph.n, graph.integer_form()[1])):
+    # and so does numpy when the solve would load it: these solvers start with
+    # shortest paths of the whole graph, which may run the numpy kernel.
+    if algo in _WHOLE_GRAPH_APSP and _numpy_kernel_runs(graph.n, graph.integer_form()[1]):
         import numpy
     if algo == "fpt":
         from .fpt import fpt_min_repair

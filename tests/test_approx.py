@@ -27,7 +27,7 @@ from metric_repair import (
     repaired_cell_count,
     shortest_path_cover,
 )
-from metric_repair.approx import embedded_square_edges, _sweep_numpy
+from metric_repair.approx import _sweep_lanes, embedded_square_edges
 from metric_repair.graphs import _top_edge, edge_key
 from metric_repair.gadgets import (
     component_blocks,
@@ -415,9 +415,34 @@ def scaled_rows(d):
     return scale, symmetric_rows(d.n, intw)
 
 
-def test_sweep_numpy_kernel_matches_python():
-    # int64 kernel == object kernel == the Fraction reference sweep, at sizes
-    # on both sides of 48 and on a rational matrix whose scale is past 2**62.
+def sweep_pass(m, k) -> None:
+    """Column ``k``'s pass of the raising sweep on an integer matrix, every
+    row stepped, in place."""
+    for i in range(1, len(m)):
+        best = max(m[i][j] - m[j][k] for j in range(i))
+        if best > m[i][k]:
+            m[i][k] = m[k][i] = best
+
+
+def per_row_sweep(int_rows) -> list[list[int]]:
+    """The raising sweep with every column and row stepped, unscreened: the
+    reference for the lane kernel."""
+    m = [row[:] for row in int_rows]
+    for k in range(len(m)):
+        sweep_pass(m, k)
+    return m
+
+
+def apexes(m) -> set[int]:
+    """The apexes ``x`` of the broken triangles, ``m[i][x] + m[j][x] < m[i][j]``."""
+    return {x for i, j in combinations(range(len(m)), 2) for x in range(len(m))
+            if m[i][x] + m[j][x] < m[i][j]}
+
+
+def test_sweep_lane_kernel_matches_the_fraction_sweep():
+    # The lane kernel == the unscreened per-row sweep == the Fraction
+    # reference sweep, at sizes on both sides of 48 and on a rational matrix
+    # whose scale is past 2**62.
     matrices = [random_matrix(random.Random(10_000 + seed), n)
                 for seed, n in enumerate((2, 3, 5, 9, 16, 31, 48, 57))]
     rows = rational_matrix(random.Random(10_100), 50)
@@ -432,43 +457,26 @@ def test_sweep_numpy_kernel_matches_python():
         scale, int_rows = scaled_rows(d)
         expected = [[int((d.entry(i, j) + reference.get(i, j)) * scale) if i != j else 0
                      for j in range(d.n)] for i in range(d.n)]
-        assert _sweep_numpy(int_rows, object) == expected
-        if max(map(max, int_rows)) < 2 ** 62:
-            assert _sweep_numpy(int_rows, "int64") == expected
+        assert _sweep_lanes(int_rows)[0] == per_row_sweep(int_rows) == expected
         raised += reference.norm0() > 0
     assert raised >= len(matrices) - 2
-
-
-def per_row_sweep(int_rows, dtype) -> list[list[int]]:
-    """The raising sweep with every row stepped, unscreened: the reference for
-    the kernel, which runs this same step on the rows its screen keeps."""
-    import numpy as np
-
-    m = np.array(int_rows, dtype=dtype)
-    n = len(int_rows)
-    for k in range(n):
-        col_k = m[:, k]
-        for i in range(1, n):
-            best = int((m[i, :i] - col_k[:i]).max())
-            if best > m[i, k]:
-                m[i, k] = best
-                m[k, i] = best
-    return m.tolist()
 
 
 @st.composite
 def sweep_inputs(draw):
     # Symmetric matrices with a zero diagonal on up to 14 vertices, weights
     # from a small range (zeros and ties) or a wide one, and optionally one
-    # entry at 2**62 - 1, the largest the int64 guard admits.
+    # entry at the int64 guard (2**62 - 1 and 2**62), past it (2**63) or far
+    # past it (2**200 + 1).
     n = draw(st.integers(min_value=0, max_value=14))
-    top = draw(st.sampled_from((0, 1, 3, 10 ** 6)))
+    top = draw(st.sampled_from((0, 1, 3, 10 ** 6, 2 ** 200)))
     pairs = list(combinations(range(n), 2))
     weights = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
     rows = symmetric_rows(n, dict(zip(pairs, weights)))
     if pairs and draw(st.booleans()):
         i, j = draw(st.sampled_from(pairs))
-        rows[i][j] = rows[j][i] = 2 ** 62 - 1
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(
+            (2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 200 + 1)))
     return rows
 
 
@@ -478,19 +486,34 @@ def sweep_inputs(draw):
 @given(sweep_inputs())
 @settings(max_examples=300, deadline=None)
 def test_screened_sweep_equals_the_per_row_sweep(rows):
-    expected = per_row_sweep(rows, object)
-    assert _sweep_numpy(rows, object) == expected
-    assert _sweep_numpy(rows, "int64") == per_row_sweep(rows, "int64") == expected
+    assert _sweep_lanes(rows)[0] == per_row_sweep(rows)
 
 
-class _CountedInt(int):
-    """An int that counts the subtractions it starts (results are plain ints)."""
+@given(sweep_inputs())
+@settings(max_examples=150, deadline=None)
+def test_the_sweep_raises_only_columns_that_start_as_apexes(rows):
+    # Why the kernel's screen is exact: no pass of the per-row sweep makes a
+    # later column the apex of a broken triangle, so the input's apexes are
+    # the only columns a pass can raise, and the kernel runs one pass each.
+    start = apexes(rows)
+    m = [row[:] for row in rows]
+    for k in range(len(m)):
+        assert k in start or k not in apexes(m)
+        sweep_pass(m, k)
+    assert _sweep_lanes(rows) == (m, len(start))
 
-    count = 0
 
-    def __sub__(self, other):
-        _CountedInt.count += 1
-        return int(self) - other
+def test_sweep_mends_a_triangle_it_breaks_with_a_later_apex():
+    # Column 0's pass raises (2, 0) to m[2][1] - m[1][0] = 1, which breaks
+    # (2, 0, 3), 1 > m[2][3] + m[0][3] = 0, although 3 is no apex of the
+    # input.  The same pass raises (3, 0) to m[3][1] - m[1][0] = 1, which
+    # mends it, so column 3's pass never runs.
+    rows = symmetric_rows(4, {(1, 2): 1, (1, 3): 1})
+    assert apexes(rows) == {0}
+    assert 3 in apexes(symmetric_rows(4, {(1, 2): 1, (1, 3): 1, (0, 2): 1}))
+    raised = symmetric_rows(4, {(1, 2): 1, (1, 3): 1, (0, 2): 1, (0, 3): 1})
+    assert per_row_sweep(rows) == raised and apexes(raised) == set()
+    assert _sweep_lanes(rows) == (raised, 1)
 
 
 @pytest.mark.parametrize("d", [
@@ -500,33 +523,30 @@ class _CountedInt(int):
     planted_complete(24, 0, seed=3).instance,
 ], ids=["triangle", "zeros", "ones", "planted24"])
 def test_sweep_steps_no_row_of_a_metric_matrix(d):
-    # On a metric matrix every bound is at most its entry (triangle
-    # inequality, the j = k term meeting it), so each column's pass is the
-    # screen alone: one subtraction per strict lower-triangle entry.
-    n = d.n
+    # A metric matrix has no broken triangle, so no column is an apex and no
+    # column's pass runs: the kernel's work is the lane test of each edge.
     _, int_rows = scaled_rows(d)
-    counted = [[_CountedInt(x) for x in row] for row in int_rows]
-    _CountedInt.count = 0
-    assert _sweep_numpy(counted, object) == int_rows
-    assert _CountedInt.count == n * (n * (n - 1) // 2)
+    assert _sweep_lanes(int_rows) == (int_rows, 0)
 
 
 def test_sweep_kernel_choice_at_int64_guard(monkeypatch):
-    # An entry of 2**62 - 1, the largest the int64 guard admits, then 2**62;
-    # the sweep raises many cells to within a few units of it.
+    # One kernel on both sides of the int64 guard: an entry of 2**62 - 1
+    # gives 64-bit lanes, one of 2**62 gives 65-bit lanes, and the sweep
+    # raises many cells to within a few units of it.
     import metric_repair.approx as approx
 
-    chosen = []
-    kernel = approx._sweep_numpy
-    monkeypatch.setattr(approx, "_sweep_numpy",
-                        lambda rows, dtype: chosen.append(dtype) or kernel(rows, dtype))
-    for top, dtype in ((2 ** 62 - 1, "int64"), (2 ** 62, object)):
+    widths = []
+    lanes = approx._lanes
+    monkeypatch.setattr(approx, "_lanes",
+                        lambda n, top: widths.append(lanes(n, top)[0]) or lanes(n, top))
+    for top, width in ((2 ** 62 - 1, 64), (2 ** 62, 65)):
         base = random_matrix(random.Random(10_200), 48)
         rows = [list(r) for r in base.rows()]
         rows[0][47] = rows[47][0] = top
         d = DistanceMatrix(rows)
         delta = matrix_sweep_repair(d)
-        assert chosen.pop() == dtype
+        assert widths == [width]
+        widths.clear()
         assert delta == fraction_sweep(d)
         assert max(v for _, v in delta.items()) > top - 20
         assert is_metric(apply_delta(d.to_graph(), delta))
