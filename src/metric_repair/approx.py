@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .detect import broken_cycles
+from .detect import _triangle_tops, broken_cycles
 from .exact import verify_support
 from .graphs import (
     DistanceMatrix,
@@ -44,7 +44,7 @@ from .graphs import (
     WeightedGraph,
     edge_key,
 )
-from .paths import _lanes, _pack, _scaled_apsp
+from .paths import _lane_rows, _lanes, _scaled_apsp
 
 
 class ApproxReport(NamedTuple):
@@ -188,12 +188,8 @@ def matrix_sweep_repair(d: DistanceMatrix) -> RepairDelta:
     entries, so it never exceeds the largest one, and the lanes are as exact
     past 2^62 as below it.
     """
-    n = d.n
     scale, intw = d.integer_form()
-    int_rows = [[0] * n for _ in range(n)]
-    for (i, j), w in intw.items():
-        int_rows[i][j] = int_rows[j][i] = w
-    raised, _ = _sweep_lanes(int_rows)
+    raised, _ = _sweep_lanes(d.n, intw)
     entries = {(i, j): Fraction(raised[i][j] - w, scale)
                for (i, j), w in intw.items() if raised[i][j] != w}
     return RepairDelta(entries, OmegaClass.INCREASE_ONLY)
@@ -204,53 +200,46 @@ def repaired_cell_count(delta: RepairDelta) -> int:
     return 2 * delta.norm0()
 
 
-def _sweep_lanes(int_rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """The raising sweep on a symmetric nonnegative integer matrix ``m``: a
-    raised copy, and the number of column passes that ran.
+def _sweep_lanes(n: int, intw: dict[tuple[int, int], int]) -> tuple[list[list[int]], int]:
+    """The raising sweep on the complete graph ``intw`` on ``n`` vertices, as
+    a matrix ``m``: the raised matrix, and the number of column passes that ran.
 
-    Row ``j`` is also one int whose lane ``x`` holds ``m[j][x]``, as wide as
-    ``paths._lanes`` makes it for the largest entry ``top``.  Column ``k``'s
-    pass walks the rows in order and keeps ``best_of``, the lane-wise maximum
-    of ``row_j' + (top - m[j'][k])`` over the rows ``j' < j`` already stepped.
-    By symmetry its lane ``j`` minus ``top`` is ``max_j' < j (m[j][j'] -
-    m[j'][k])``, the step's best raise.  Entries stay in ``[0, top]``, since a
-    raised entry is a difference of two, so no lane exceeds ``2 * top`` and
-    the maximum is the guard-bit compare and select of
-    ``paths._dense_int_lanes``.  A raise of ``(j, k)`` rewrites lane ``k`` of
-    row ``j``, before ``best_of`` folds that row, and lane ``j`` of row ``k``,
-    which ``best_of`` never reads after step ``j``.
+    Row ``j`` is also one int of lanes (``paths``' module docstring), sized
+    for the largest entry ``top``.  Column ``k``'s pass walks the rows in
+    order and keeps ``best_of``, the lane-wise maximum of ``row_j' + (top -
+    m[j'][k])`` over the rows ``j' < j`` already stepped.  By symmetry its lane
+    ``j`` minus ``top`` is ``max_j' < j (m[j][j'] - m[j'][k])``, the step's
+    best raise.  Entries stay in ``[0, top]``, since a raised entry is a
+    difference of two, so no lane exceeds ``2 * top`` and the maximum is the
+    guard-bit compare and a select.  A raise of ``(j, k)`` rewrites lane ``k``
+    of row ``j``, before ``best_of`` folds that row, and lane ``j`` of row
+    ``k``, which ``best_of`` never reads after step ``j``.
 
     A pass runs only if its column is the apex ``x`` of a triangle broken in
-    the input, ``m[i][x] + m[j][x] < m[i][j]``, found by
-    ``detect._breaks_a_triangle``'s lane test of every edge.  That is exact.
-    A pass whose column is the apex of no broken triangle raises nothing:
-    each term ``m[j][j'] - m[j'][k]`` is at most ``m[j][k]``.  And no pass
-    makes a later column an apex, so by induction the input's apexes are the
-    only ones.  Pass ``k`` raises only entries ``(j, k)``, and once it has
-    stepped rows ``a`` and ``b`` the triangle ``(a, b, k)`` holds, since
-    ``m[a][b]`` stays and ``m[a][k]``, ``m[b][k]`` only rise.  Let ``x > k``
-    be no apex, and let the raise of ``(j, k)`` to ``m[j][j'] - m[j'][k]``
+    the input, ``m[i][x] + m[j][x] < m[i][j]`` (``detect._triangle_tops``).
+    That is exact.  A pass whose column is the apex of no broken triangle
+    raises nothing: each term ``m[j][j'] - m[j'][k]`` is at most ``m[j][k]``.
+    And no pass makes a later column an apex, so by induction the input's
+    apexes are the only ones.  Pass ``k`` raises only entries ``(j, k)``, and
+    once it has stepped rows ``a`` and ``b`` the triangle ``(a, b, k)`` holds,
+    since ``m[a][b]`` stays and ``m[a][k]``, ``m[b][k]`` only rise.  Let ``x >
+    k`` be no apex, and let the raise of ``(j, k)`` to ``m[j][j'] - m[j'][k]``
     break ``(j, k, x)``.  The triangle ``(j, j', x)`` has no edge at ``k``
-    (``j' = k`` gives ``m[j][k]``, no raise), so it still holds, and then ``m[j'][x] > m[j'][k] + m[k][x]``: row ``x``
-    is not stepped yet, and once it is, ``m[k][x] >= m[x][j'] - m[j'][k]``
-    mends ``(j, k, x)``.
+    (``j' = k`` gives ``m[j][k]``, no raise), so it still holds, and then
+    ``m[j'][x] > m[j'][k] + m[k][x]``: row ``x`` is not stepped yet, and once
+    it is, ``m[k][x] >= m[x][j'] - m[j'][k]`` mends ``(j, k, x)``.
     """
-    m = [row[:] for row in int_rows]
-    n = len(m)
-    top = max(map(max, m), default=0)
+    top = max(intw.values(), default=0)
     lane, shifts, ones, guard = _lanes(n, top)
     mask = (1 << lane) - 1
-    rows = [_pack(row, lane) for row in m]
-    held = guard  # the guard bits of the columns that are no apex
-    for i, row in enumerate(rows):
-        guarded = row | guard
-        m_i = m[i]
-        for j in range(i + 1, n):
-            held &= guarded + rows[j] - m_i[j] * ones
+    m, rows = _lane_rows(n, intw, lane, 0)
+    apexes = 0  # the guard bits of the columns that are an apex
+    for _, _, bits in _triangle_tops(intw, rows, ones, guard):
+        apexes |= bits
     top_ones = top * ones
     passes = 0
     for k, s_k in enumerate(shifts):
-        if held >> (s_k + lane - 1) & 1:
+        if not apexes >> (s_k + lane - 1) & 1:
             continue
         passes += 1
         m_k = m[k]

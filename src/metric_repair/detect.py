@@ -22,18 +22,16 @@ paths and never lists a cycle that holds.  ``is_metric`` is
 On a complete graph the walk runs only when some triangle breaks, because
 there a triangle-free graph is metric: by induction on its length, no path
 between an edge's ends is lighter than the edge.  The triangle test is
-``_top_edge``'s three-term form, vectorized.  Row ``u`` is one int whose lane
-``x`` holds ``w(u, x)`` (lane ``u`` holds 0), ``L = bitlen(2 * max) + 1``
-bits wide, so each lane's top bit is a free guard bit (``paths._lanes``).  For
-an edge ``(u, v)`` of weight ``a``, ``((row_u + row_v) | guard) - a * ones``
-computes ``2^(L-1) + w(u, x) + w(x, v) - a`` in every lane ``x``: the sum is
-at most ``2 * max < 2^(L-1)`` and ``a <= max``, so each lane's result lies in
-``(0, 2^L)``, no carry or borrow crosses a lane, and the guard bit clears
-exactly where ``w(u, x) + w(x, v) < a`` (the guard-bit compare of
-``paths._dense_int_lanes``).  Lanes ``u`` and ``v`` hold ``a + 0`` and never
-clear.  The answer is kept on the graph, in its APSP cache under
-``"witness"``: graphs are immutable, and a matrix view shares its graph's
-cache, so ``is_metric`` and then ``find_broken_witness`` compute it once.
+``_top_edge``'s three-term form, vectorized on the lanes of ``paths`` (its
+module docstring has the layout, the width and the guard-bit compare), sized
+for the largest weight.  ``_triangle_tops`` compares, for an edge ``(u, v)``
+of weight ``a``, ``row_u + row_v`` with ``a`` in every lane ``x``: every lane
+sum is at most twice the largest weight, so the guard bit clears exactly
+where ``w(u, x) + w(x, v) < a``, at the apexes of the broken triangles that
+``(u, v)`` tops.  Lanes ``u`` and ``v`` hold ``a + 0`` and never clear.  The
+answer is kept on the graph, in its APSP cache under ``"witness"``: graphs
+are immutable, and a matrix view shares its graph's cache, so ``is_metric``
+and then ``find_broken_witness`` compute it once.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .graphs import (
     OmegaClass,
     WeightedGraph,
 )
-from .paths import _lanes, _pack, apsp
+from .paths import _lane_rows, _lanes, apsp
 
 
 def is_metric(g: WeightedGraph) -> bool:
@@ -83,20 +81,22 @@ def _first_broken_edge(g: WeightedGraph) -> BrokenCycleWitness | None:
 
 def _breaks_a_triangle(g: WeightedGraph) -> bool:
     # The lane test of the module docstring, on a complete graph.
-    # ``(row_u | guard) + row_v`` is ``(row_u + row_v) | guard``, since no
-    # lane sum reaches its guard bit.
-    n = g.n
     _, intw = g.integer_form()
-    lane, _, ones, guard = _lanes(n, max(intw.values(), default=0))
-    cells = [[0] * n for _ in range(n)]
-    for (u, v), a in intw.items():
-        cells[u][v] = cells[v][u] = a
-    rows = [_pack(cell, lane) for cell in cells]
+    lane, _, ones, guard = _lanes(g.n, max(intw.values(), default=0))
+    return any(_triangle_tops(intw, _lane_rows(g.n, intw, lane, 0)[1], ones, guard))
+
+
+def _triangle_tops(intw, rows, ones, guard):
+    """``(u, v, apexes)`` for each edge ``(u, v)`` that tops a broken triangle
+    of a complete graph, in ``intw`` order, with ``apexes`` the guard bits of
+    the lanes ``x`` where ``w(u, x) + w(x, v) < w(u, v)`` (module docstring).
+    ``(row_u | guard) + row_v`` is ``(row_u + row_v) | guard``, since no lane
+    sum reaches its guard bit."""
     guarded = [row | guard for row in rows]
     for (u, v), a in intw.items():
-        if ((guarded[u] + rows[v] - a * ones) & guard) != guard:
-            return True
-    return False
+        held = (guarded[u] + rows[v] - a * ones) & guard
+        if held != guard:
+            yield u, v, held ^ guard
 
 
 def broken_triangles(g: WeightedGraph) -> tuple[BrokenCycleWitness, ...]:

@@ -24,7 +24,8 @@ the same leaves in the same order without the repeats, and a repeat of a
 rejected set is rejected again.  The first accepted support, its delta and
 budget stay; ``nodes``, ``leaves``, ``pruned`` and ``max_pool`` can only fall.
 Where a clamp fires, pools here are shorter and clamp less often, and equal
-outputs are checked by test, not proven.
+outputs are checked by test, not proven: on draws that clamp, with the exact
+optimum, in ``test_pool_clamps_keep_the_search_over_orderings_answer``.
 
 Every node first applies a packing bound, the standard lower bound for bounded
 search trees (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).  Each

@@ -9,20 +9,29 @@ unreachable), so callers compare it with scaled edge weights exactly, and a
   It runs when ``m > n^2/4``.  From ``_NUMPY_MIN_N`` (64) vertices, while
   the sentinel (the "unreached" value ``_sentinel``) stays below
   ``_INT64_SAFE`` (2^62), it is a vectorized numpy int64 loop; otherwise it
-  is the lane kernel.  That kernel holds row ``i`` as one Python int whose
-  lane ``j``, ``L = bitlen(2 * sentinel) + 1`` bits wide, is ``d(i, j)``.
-  Every value a relaxation forms is below ``2 * sentinel < 2^(L-1)``, so
-  each lane's top bit is a free guard bit.  With ``b`` the candidate row
-  ``row_k + d(i, k)`` in every lane and ``a`` row ``i``, ``((b | guard) -
-  a) & guard`` keeps the guard bit exactly where ``b >= a``, and no borrow
-  crosses a lane, since each lane computes ``2^(L-1) + b - a``, which lies
-  in ``(0, 2^L)`` (Lamport's guard-bit compare).  The lanes whose guard
-  cleared take ``b``'s bits.  Reading ``d(i, k)`` from row ``k`` is exact
-  because the matrix stays symmetric, and pivot ``k``'s row and column do
-  not change while it runs (``d(k, k) = 0``, weights are nonnegative), so
-  this is the full relaxation's result.
+  is the lane kernel (below), on lanes for values up to the sentinel, which
+  also fills the pairs with no edge.  Every value a relaxation forms is
+  below ``2 * sentinel``.  With ``b`` the candidate row ``row_k + d(i, k)``
+  in every lane and ``a`` row ``i``, the lanes where the guard-bit compare
+  finds ``b < a`` take ``b``'s bits.  Reading ``d(i, k)`` from row ``k`` is
+  exact because the matrix stays symmetric, and pivot ``k``'s row and
+  column do not change while it runs (``d(k, k) = 0``, weights are
+  nonnegative), so this is the full relaxation's result.
 * ``sparse`` -- priority-queue search (Dijkstra; weights are nonnegative),
   run for a source the first time its row is read.  It runs otherwise.
+
+Lanes.  The Floyd-Warshall kernel, ``detect``'s triangle test and
+``approx``'s raising sweep share one layout.  Row ``i`` of an ``n``-vertex
+matrix is one Python int whose lane ``x``, bits ``[x*L, (x+1)*L)``, holds
+cell ``(i, x)``.  ``_lane_rows`` is the one place that builds such rows from
+an edge map: 0 on the diagonal, a given fill where no edge exists, each row
+packed from its highest lane down.  For values up to ``top``, ``_lanes``
+takes the narrowest width ``L = bitlen(2 * top) + 1``: a sum of two values
+stays below ``2^(L-1)``, so each lane's top bit is a free guard bit.  With
+every lane of ``a`` and ``b`` at most ``2 * top``, ``((b | guard) - a) &
+guard`` keeps the guard bit exactly where ``b >= a``, and no borrow crosses
+a lane, since each lane computes ``2^(L-1) + b - a``, which lies in ``(0,
+2^L)`` (Lamport's guard-bit compare, CACM 18(8), 1975).
 
 Paths are canonical and engine-independent: they come from the search's
 predecessor tree.  The search settles vertices in ``(distance, vertex id)``
@@ -277,37 +286,38 @@ def _sentinel(n: int, intw) -> int:
 
 
 def _lanes(n: int, top: int) -> tuple[int, range, int, int]:
-    """``n`` lanes for values up to ``top``: the width ``L = bitlen(2 * top) +
-    1``, the lanes' bit offsets, a 1 in every lane and every lane's guard bit.
-    A sum of two values fits below the guard, ``2 * top < 2^(L-1)``."""
+    """``n`` lanes for values up to ``top`` (module docstring): the width, the
+    lanes' bit offsets, a 1 in every lane and every lane's guard bit."""
     lane = (2 * top).bit_length() + 1
     shifts = range(0, n * lane, lane)
     ones = sum(1 << s for s in shifts)
     return lane, shifts, ones, ones << (lane - 1)
 
 
-def _pack(cells: list[int], lane: int) -> int:
-    """One int whose lane ``x``, ``lane`` bits wide, holds ``cells[x]``.  It is
-    packed from the highest lane down, which beats or-ing each value into the
-    full-width int."""
-    row = 0
-    for a in reversed(cells):
-        row = (row << lane) | a
-    return row
+def _lane_rows(n: int, intw, lane: int, fill: int) -> tuple[list[list[int]], list[int]]:
+    """The matrix of ``intw`` on ``n`` vertices, 0 on the diagonal and ``fill``
+    where no edge exists, and its rows as ints of lanes ``lane`` bits wide
+    (module docstring).  A row is packed from its highest lane down, which
+    beats or-ing each value into the full-width int."""
+    cells = [[fill] * i + [0] + [fill] * (n - 1 - i) for i in range(n)]
+    for (u, v), w in intw.items():
+        cells[u][v] = cells[v][u] = w
+    rows = []
+    for cell in cells:
+        row = 0
+        for a in reversed(cell):
+            row = (row << lane) | a
+        rows.append(row)
+    return cells, rows
 
 
 def _dense_int_lanes(n: int, intw, sentinel: int) -> list[list[int | None]]:
-    # Row i is one int whose lane j, bits [j*L, (j+1)*L), holds d(i, j); each
-    # lane's top bit is a guard (module docstring).  The flags of the lanes
+    # Row i's lane j holds d(i, j) (module docstring).  The flags of the lanes
     # that lose become full-lane masks by a shift and a subtraction: a
     # multiply by 2^L - 1 is far slower on wide lanes.
     lane, shifts, ones, guard = _lanes(n, sentinel)
     mask = (1 << lane) - 1
-    full = sentinel * ones
-    rows = [full - (sentinel << s) for s in shifts]
-    for (u, v), w in intw.items():
-        rows[u] -= (sentinel - w) << (v * lane)
-        rows[v] -= (sentinel - w) << (u * lane)
+    _, rows = _lane_rows(n, intw, lane, sentinel)
     for k in range(n):
         row_k = rows[k]
         # d(k, i) == d(i, k): the matrix stays symmetric.

@@ -410,6 +410,12 @@ def symmetric_rows(n: int, weights: dict) -> list[list[int]]:
     return rows
 
 
+def sweep_lanes(rows):
+    """``_sweep_lanes`` on the symmetric matrix ``rows``."""
+    pairs = combinations(range(len(rows)), 2)
+    return _sweep_lanes(len(rows), {(i, j): rows[i][j] for i, j in pairs})
+
+
 def scaled_rows(d):
     scale, intw = d.to_graph().integer_form()
     return scale, symmetric_rows(d.n, intw)
@@ -457,7 +463,7 @@ def test_sweep_lane_kernel_matches_the_fraction_sweep():
         scale, int_rows = scaled_rows(d)
         expected = [[int((d.entry(i, j) + reference.get(i, j)) * scale) if i != j else 0
                      for j in range(d.n)] for i in range(d.n)]
-        assert _sweep_lanes(int_rows)[0] == per_row_sweep(int_rows) == expected
+        assert sweep_lanes(int_rows)[0] == per_row_sweep(int_rows) == expected
         raised += reference.norm0() > 0
     assert raised >= len(matrices) - 2
 
@@ -486,7 +492,7 @@ def sweep_inputs(draw):
 @given(sweep_inputs())
 @settings(max_examples=300, deadline=None)
 def test_screened_sweep_equals_the_per_row_sweep(rows):
-    assert _sweep_lanes(rows)[0] == per_row_sweep(rows)
+    assert sweep_lanes(rows)[0] == per_row_sweep(rows)
 
 
 @given(sweep_inputs())
@@ -500,7 +506,7 @@ def test_the_sweep_raises_only_columns_that_start_as_apexes(rows):
     for k in range(len(m)):
         assert k in start or k not in apexes(m)
         sweep_pass(m, k)
-    assert _sweep_lanes(rows) == (m, len(start))
+    assert sweep_lanes(rows) == (m, len(start))
 
 
 def test_sweep_mends_a_triangle_it_breaks_with_a_later_apex():
@@ -513,7 +519,7 @@ def test_sweep_mends_a_triangle_it_breaks_with_a_later_apex():
     assert 3 in apexes(symmetric_rows(4, {(1, 2): 1, (1, 3): 1, (0, 2): 1}))
     raised = symmetric_rows(4, {(1, 2): 1, (1, 3): 1, (0, 2): 1, (0, 3): 1})
     assert per_row_sweep(rows) == raised and apexes(raised) == set()
-    assert _sweep_lanes(rows) == (raised, 1)
+    assert sweep_lanes(rows) == (raised, 1)
 
 
 @pytest.mark.parametrize("d", [
@@ -526,7 +532,7 @@ def test_sweep_steps_no_row_of_a_metric_matrix(d):
     # A metric matrix has no broken triangle, so no column is an apex and no
     # column's pass runs: the kernel's work is the lane test of each edge.
     _, int_rows = scaled_rows(d)
-    assert _sweep_lanes(int_rows) == (int_rows, 0)
+    assert sweep_lanes(int_rows) == (int_rows, 0)
 
 
 def test_sweep_kernel_choice_at_int64_guard(monkeypatch):

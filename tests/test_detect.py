@@ -28,7 +28,7 @@ from metric_repair.detect import cover_masks, edge_bits
 from metric_repair.exact import RejectionReason, _verify
 from metric_repair.gadgets import planted_complete, random_chordal_edges
 from metric_repair.graphs import BrokenCycleWitness, _top_edge, edge_key
-from metric_repair.paths import _lanes, apsp
+from metric_repair.paths import _lane_rows, _lanes, apsp
 
 from conftest import (
     broken_cycles_brute,
@@ -519,3 +519,32 @@ def test_lane_test_on_the_smallest_complete_graphs():
     one_up = zeros.replace_weights({(0, 1): Fraction(1, 3)})
     assert find_broken_witness(one_up) == BrokenCycleWitness((0, 2, 1), (0, 1)) \
         == walk_witness(one_up)
+
+
+@st.composite
+def complete_graphs_at_the_guard(draw):
+    """``complete_graphs``, half of them with one weight at 2^62 - 1, 2^62 or
+    2^63."""
+    g = draw(complete_graphs())
+    if g.edges and draw(st.booleans()):
+        top = draw(st.sampled_from((2 ** 62 - 1, 2 ** 62, 2 ** 63)))
+        g = g.replace_weights({draw(st.sampled_from(g.edges)): top})
+    return g
+
+
+@given(complete_graphs_at_the_guard())
+@settings(max_examples=300, deadline=None)
+def test_triangle_tops_yield_the_apexes_of_the_broken_triangles(g):
+    # The lane scan yields each edge that tops a broken triangle once, with
+    # the guard bits of exactly the third corners of the triangles it tops.
+    _, intw = g.integer_form()
+    lane, shifts, ones, guard = _lanes(g.n, max(intw.values(), default=0))
+    tops = list(detect._triangle_tops(intw, _lane_rows(g.n, intw, lane, 0)[1], ones, guard))
+    scanned = {(u, v): {x for x, s in enumerate(shifts) if bits >> (s + lane - 1) & 1}
+               for u, v, bits in tops}
+    listed: dict = {}
+    for witness in broken_triangles(g):
+        apex = set(witness.cycle) - set(witness.top_edge)
+        listed.setdefault(witness.top_edge, set()).update(apex)
+    assert len(tops) == len(scanned) and scanned == listed
+    assert all(bits & ~guard == 0 for _, _, bits in tops)

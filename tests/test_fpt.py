@@ -26,7 +26,12 @@ from metric_repair import (
 from metric_repair import fpt
 from metric_repair.detect import broken_triangles, cover_masks, packing_exceeds
 from metric_repair.fpt import POOL_BOUND_FACTOR, _select
-from metric_repair.gadgets import base_graph_edges, planted_chordal, suspension
+from metric_repair.gadgets import (
+    base_graph_edges,
+    planted_chordal,
+    random_chordal_edges,
+    suspension,
+)
 from metric_repair.oracle import minimum_cycle_cover
 
 METRIC_TRIANGLE = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
@@ -357,6 +362,37 @@ def test_search_over_sets_gives_the_search_over_orderings_answer(n, k, seed, inc
     result = fpt_min_repair(g, omega)
     assert result[:3] == reference[:3]
     assert result.stats.nodes <= reference.stats.nodes
+
+
+def tie_heavy_draw(seed):
+    """A chordal or complete graph on 4 to 9 vertices, weights from {0, 1, 2,
+    3, 5}: ties fill the candidate pools up to their bound."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    edges = random_chordal_edges(n, rng) if rng.random() < 0.5 else combinations(range(n), 2)
+    return WeightedGraph(n, [(u, v, rng.choice((0, 1, 2, 3, 5))) for u, v in edges])
+
+
+CLAMPED_DRAWS = {
+    "planted8-3-55": lambda: planted_chordal(8, 3, seed=55).instance,  # one clamp, at k=1
+    **{f"tie-heavy{seed}": (lambda seed=seed: tie_heavy_draw(seed))
+       for seed in (56, 69, 84, 102, 135, 136, 151, 168, 217, 243, 313, 365)},
+}
+
+
+@pytest.mark.parametrize("name", CLAMPED_DRAWS)
+def test_pool_clamps_keep_the_search_over_orderings_answer(name):
+    # Increase-mode draws whose pools reach their 5k^2 bound, so the surplus
+    # is clamped off.  The search still ends at the exact optimum, with the
+    # answer of the search over orderings.
+    g, omega = CLAMPED_DRAWS[name](), OmegaClass.INCREASE_ONLY
+    result = fpt_min_repair(g, omega)
+    assert result.stats.pool_clamp_events > 0
+    assert result.budget == len(result.support) == minimum_cycle_cover(g, omega)[0]
+    assert verify_support(g, result.support, omega).accepted
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpt._Search, "cover", _cover_over_orderings)
+        assert fpt_min_repair(g, omega)[:3] == result[:3]
 
 
 NO_REPEAT_GRAPHS = {
