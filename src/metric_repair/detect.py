@@ -36,7 +36,7 @@ and then ``find_broken_witness`` compute it once.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import (
     BrokenCycleWitness,
@@ -161,23 +161,37 @@ def cover_masks(g: WeightedGraph, witnesses: Iterable[BrokenCycleWitness],
     return masks
 
 
-def packing_exceeds(masks: Iterable[int], hit: int, room: int) -> bool:
-    """Whether more than ``room`` of ``masks`` miss ``hit`` and pairwise share no edge.
+def hits_within(masks: Sequence[int], hit: int, room: int) -> int | None:
+    """``hit`` with at most ``room`` more bits meeting every mask, or None if none exists.
 
-    Packs greedily in list order.  Each packed mask needs an edge of its own,
-    so when this returns True every support that contains ``hit`` and at most
-    ``room`` more edges misses some mask: the standard packing lower bound of
-    bounded search trees (Cygan et al., *Parameterized Algorithms*, 2015,
-    ch. 3).
+    One pass packs, greedily in list order, the masks that ``hit`` misses and
+    that share no bit with a mask packed before.  Each packed mask needs a bit
+    of its own, so more than ``room`` of them leave no cover: the packing
+    lower bound of bounded search trees.  Otherwise the search branches on the
+    bits of the first missed mask, in index order, each child with one less
+    room, and returns the first cover it reaches.  On masks of at most ``c``
+    bits that is the ``c``-hitting-set branching, at most ``c ** room`` leaves
+    (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).
     """
-    blocked = hit
+    if room < 0:
+        return None
+    blocked, first, packed = hit, 0, 0
     for mask in masks:
         if not mask & blocked:
+            if not packed:
+                first = mask
             blocked |= mask
-            room -= 1
-            if room < 0:
-                return True
-    return room < 0
+            packed += 1
+            if packed > room:
+                return None
+    if not packed:
+        return hit
+    while first:
+        low = first & -first
+        if (found := hits_within(masks, hit | low, room - 1)) is not None:
+            return found
+        first ^= low
+    return None
 
 
 def broken_cycles(g: WeightedGraph, max_vertices: int | None = None

@@ -17,7 +17,7 @@ dedupe set, so no descendant adds them back and each set is reached once.
 The search that gave each child ``P`` less its own edge has the same output.
 Where no pool clamp fires below the root, its pool at a node is, as a set,
 ``in_pool \\ S``, and ``in_pool`` only grows with ``S``; so the leaves below
-``S``, the packing bound and every Verifier outcome depend only on ``(k, S)``.
+``S``, the cut and every Verifier outcome depend only on ``(k, S)``.
 It first reaches a set ``T`` by taking, at each node, the earliest pool edge
 in ``T``, never an earlier sibling, so this search keeps that path: it visits
 the same leaves in the same order without the repeats, and a repeat of a
@@ -27,20 +27,24 @@ Where a clamp fires, pools here are shorter and clamp less often, and equal
 outputs are checked by test, not proven: on draws that clamp, with the exact
 optimum, in ``test_pool_clamps_keep_the_search_over_orderings_answer``.
 
-Every node first applies a packing bound, the standard lower bound for bounded
-search trees (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).  Each
-broken triangle has a mask of the edges a repair can mend it on
+Every node first asks whether any leaf below it can be accepted.  Each broken
+triangle has a mask of the edges a repair can mend it on
 (``detect.cover_masks``): its bottom edges in the increase-only case, since
 raising the top edge only widens the gap, and all three edges in the general
 case.  A support that misses a mask admits no repair, so the Verifier rejects
-it.  The node greedily packs masks that ``S`` misses and that share no edge
-with a mask packed before (``detect.packing_exceeds``, which the exact oracle
-shares); each packed mask needs an edge of its own, so once more than
-``k - |S|`` are packed no leaf below can be accepted and the node is cut.  At
-a leaf the room is zero, so the Verifier runs only on supports that meet
-every mask.  Only subtrees without an accepted leaf are cut, so the
-branching order, the first accepted support and its delta stay as they are
-without the bound.
+it.  The node is cut when no ``k - |S|`` more edges meet every mask that ``S``
+misses (``detect.hits_within``, the search the exact oracle deepens over):
+every leaf below adds at most that many, so none of them can be accepted.  At a
+leaf the room is zero, so the Verifier runs only on supports that meet every
+mask.  Only subtrees without an accepted leaf are cut, and the leaves that
+stay are visited in the same order: each round accepts exactly when it would
+without the cut, so the budget (the first round that accepts), the first
+accepted support and its delta stay, and only the counters fall.  The cut
+first packs missed masks that share no edge, the packing lower bound of
+bounded search trees, then branches on the edges of the first missed mask.  A
+triangle mask has at most 3 edges, or 2 in increase mode, so one cut's search
+has at most ``3 ** (k - |S|)`` leaves, or ``2 ** (k - |S|)`` (Cygan et al.,
+*Parameterized Algorithms*, 2015, ch. 3).
 
 One ``_Search`` holds a public call's work: the chordality check, the
 triangle masks, each edge's role count and the five search counters.
@@ -59,7 +63,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .chordal import perfect_elimination_ordering
-from .detect import broken_triangles, cover_masks, edge_bits, mask_edges, packing_exceeds
+from .detect import broken_triangles, cover_masks, edge_bits, hits_within, mask_edges
 from .exact import verify_support
 from .graphs import OmegaClass, PreconditionError, RepairDelta, WeightedGraph, edge_key
 
@@ -69,8 +73,9 @@ POOL_BOUND_FACTOR = {OmegaClass.INCREASE_ONLY: 5, OmegaClass.GENERAL: 12}
 class FptStats(NamedTuple):
     """Search counts of one public call.
 
-    ``nodes`` counts every node entered, ``pruned`` those the packing bound
-    cut, and ``leaves`` the Verifier calls.  ``fpt_min_repair`` adds up every
+    ``nodes`` counts every node entered, ``pruned`` those cut because no
+    ``k - |S|`` more edges meet every triangle mask that ``S`` misses, and
+    ``leaves`` the Verifier calls.  ``fpt_min_repair`` adds up every
     deepening round; ``fpt_increase`` and ``fpt_general`` search one budget.
     """
 
@@ -197,7 +202,7 @@ class _Search:
         the newest edge only.
         """
         self.nodes += 1
-        if packing_exceeds(self.masks, hit, self.k - len(support)):
+        if hits_within(self.masks, hit, self.k - len(support)) is None:
             self.pruned += 1
             return None
         if len(support) == self.k:

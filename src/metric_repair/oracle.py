@@ -23,9 +23,10 @@ Feasibility of a support is decided one of two ways:
   each repaired edge at or below its original distance, so this entrywise
   maximal assignment is feasible exactly when some repair on the support is.
 
-``minimum_cycle_cover`` solves the same covering problem by branch and bound
-over learned masks, seeded with the broken triangles', instead of subset
-enumeration, so it scales past the enumeration's edge limit.
+``minimum_cycle_cover`` solves the same covering problem over learned masks,
+seeded with the broken triangles', by iterative deepening over the bounded
+hitting-set search ``detect.hits_within`` that the FPT search cuts with,
+instead of subset enumeration, so it scales past the enumeration's edge limit.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .detect import (
     broken_triangles,
     cover_masks,
     edge_bits,
+    hits_within,
     is_metric,
     mask_edges,
-    packing_exceeds,
 )
 from .exact import _verify
 from .graphs import (
@@ -163,44 +164,22 @@ def minimum_cycle_cover(g: WeightedGraph, omega: OmegaClass) -> tuple[int, froze
     minimum meets only some of the broken cycles' masks, so it bounds the
     optimum from below; the Verifier is exact, so the first accepted support
     is optimal.
+
+    A round's minimum is the first cover that ``detect.hits_within`` finds
+    over the masks sorted by size, at ``size = 0, 1, ...``; a round starts at
+    the last round's size, since more masks need no fewer edges.
     """
     if omega is OmegaClass.DECREASE_ONLY:
         raise PreconditionError("covering characterizes increase-only and general repairs")
     requirements = cover_masks(g, broken_triangles(g), omega)
+    size = 0
     while True:
-        size, chosen = _minimum_hitting_set(requirements, g.m)
+        requirements.sort(key=lambda mask: (bin(mask).count("1"), mask))
+        while (chosen := hits_within(requirements, 0, size)) is None:
+            size += 1
         support = frozenset(mask_edges(g, chosen))
         delta, missed = _repair_or_missed_mask(g, support, omega)
         if delta is not None:
             return size, support
         assert not missed & chosen  # so no round repeats a support
         requirements.append(missed)
-
-
-def _minimum_hitting_set(requirements: list[int], m: int) -> tuple[int, int]:
-    """Fewest of ``m`` edge bits meeting every mask in ``requirements``, as a mask.
-
-    Branch and bound: a node is cut when its count plus the greedy packing
-    bound (``detect.packing_exceeds``) cannot beat the best cover so far.
-    Branching picks the first unhit mask (masks sorted by size) and tries
-    each of its edges in index order, keeping the first best cover found, so
-    the result is deterministic.
-    """
-    requirements = sorted(requirements, key=lambda mask: (bin(mask).count("1"), mask))
-    best = [m + 1, (1 << m) - 1]
-
-    def search(chosen: int, count: int) -> None:
-        if packing_exceeds(requirements, chosen, best[0] - 1 - count):
-            return
-        req = next((mask for mask in requirements if not mask & chosen), None)
-        if req is None:
-            best[0], best[1] = count, chosen
-            return
-        while req:
-            low = req & -req
-            search(chosen | low, count + 1)
-            req ^= low
-
-    search(0, 0)
-    assert best[0] <= m  # the full edge set always covers
-    return best[0], best[1]

@@ -18,8 +18,10 @@ from metric_repair import (
     edge_key,
     verify_support,
 )
+from metric_repair.detect import broken_triangles, cover_masks, mask_edges
 from metric_repair.fileio import MAX_VERTICES, _printable, parse_exact
 from metric_repair.graphs import clipped
+from metric_repair.oracle import _repair_or_missed_mask
 
 
 def random_graph(rng: random.Random, n: int, m: int,
@@ -231,6 +233,67 @@ def verifier_subset_walk(g: WeightedGraph, omega):
             if outcome.accepted:
                 return frozenset(combo), outcome.delta
     raise AssertionError("the full edge set always admits a repair")
+
+
+def packing_exceeds(masks, hit: int, room: int) -> bool:
+    """Whether more than ``room`` of ``masks`` miss ``hit`` and pairwise share no edge.
+
+    Packs greedily in list order.  Each packed mask needs an edge of its own,
+    so when this returns True every support that contains ``hit`` and at most
+    ``room`` more edges misses some mask: the standard packing lower bound of
+    bounded search trees (Cygan et al., *Parameterized Algorithms*, 2015,
+    ch. 3).
+    """
+    blocked = hit
+    for mask in masks:
+        if not mask & blocked:
+            blocked |= mask
+            room -= 1
+            if room < 0:
+                return True
+    return room < 0
+
+
+def minimum_hitting_set_by_branch_and_bound(requirements: list[int], m: int) -> tuple[int, int]:
+    """Fewest of ``m`` edge bits meeting every mask in ``requirements``, as a mask.
+
+    Branch and bound: a node is cut when its count plus the greedy packing
+    bound (``packing_exceeds``) cannot beat the best cover so far.
+    Branching picks the first unhit mask (masks sorted by size) and tries
+    each of its edges in index order, keeping the first best cover found, so
+    the result is deterministic.
+    """
+    requirements = sorted(requirements, key=lambda mask: (bin(mask).count("1"), mask))
+    best = [m + 1, (1 << m) - 1]
+
+    def search(chosen: int, count: int) -> None:
+        if packing_exceeds(requirements, chosen, best[0] - 1 - count):
+            return
+        req = next((mask for mask in requirements if not mask & chosen), None)
+        if req is None:
+            best[0], best[1] = count, chosen
+            return
+        while req:
+            low = req & -req
+            search(chosen | low, count + 1)
+            req ^= low
+
+    search(0, 0)
+    assert best[0] <= m  # the full edge set always covers
+    return best[0], best[1]
+
+
+def lazy_cover_by_branch_and_bound(g: WeightedGraph, omega) -> tuple[int, frozenset]:
+    """``oracle.minimum_cycle_cover`` with each round's minimum taken by
+    ``minimum_hitting_set_by_branch_and_bound``."""
+    requirements = cover_masks(g, broken_triangles(g), omega)
+    while True:
+        size, chosen = minimum_hitting_set_by_branch_and_bound(requirements, g.m)
+        support = frozenset(mask_edges(g, chosen))
+        delta, missed = _repair_or_missed_mask(g, support, omega)
+        if delta is not None:
+            return size, support
+        requirements.append(missed)
 
 
 # -- reference loaders and chordality test --------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metric_repair import (
@@ -323,6 +323,38 @@ def test_verifier_rejection_names_a_broken_cycle_the_support_misses():
                 assert (top in support) == (outcome.reason is decreased)
                 reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
     assert reasons[changed] >= 500 and reasons[decreased] >= 50, reasons
+
+
+@st.composite
+def hitting_set_instances(draw):
+    """``(m, masks, hit, room)``: at most 7 masks over at most 8 edge bits,
+    some of them inside ``hit``, empty ones and the empty list included."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    full = (1 << m) - 1
+    hit = draw(st.integers(min_value=0, max_value=full))
+    mask = st.integers(min_value=0, max_value=full)
+    masks = draw(st.lists(st.one_of(mask, mask.map(lambda bits: bits & hit)), max_size=7))
+    return m, masks, hit, draw(st.integers(min_value=-1, max_value=4))
+
+
+@given(hitting_set_instances())
+@example((3, [0b011, 0b101, 0b110], 0, 1))  # a triangle of masks needs two bits
+@example((3, [0b100, 0b011], 0b001, 1))  # only the highest bit is left to take
+@example((0, [], 0, -1))
+@settings(max_examples=400, deadline=None)
+def test_hits_within_finds_a_cover_exactly_when_one_exists(instance):
+    m, masks, hit, room = instance
+    missed = [mask for mask in masks if not mask & hit]
+    exists = any(all(mask & sum(extra) for mask in missed)
+                 for size in range(room + 1)
+                 for extra in combinations([1 << i for i in range(m)], size))
+    found = detect.hits_within(masks, hit, room)
+    if not exists:
+        assert found is None
+    else:
+        assert found is not None and found & hit == hit
+        assert all(mask & found for mask in masks)
+        assert bin(found & ~hit).count("1") <= room
 
 
 def test_cycle_top_edge_equals_fraction_definition():

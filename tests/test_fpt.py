@@ -24,7 +24,7 @@ from metric_repair import (
     verify_support,
 )
 from metric_repair import fpt
-from metric_repair.detect import broken_triangles, cover_masks, packing_exceeds
+from metric_repair.detect import broken_triangles, cover_masks
 from metric_repair.fpt import POOL_BOUND_FACTOR, _select
 from metric_repair.gadgets import (
     base_graph_edges,
@@ -33,6 +33,8 @@ from metric_repair.gadgets import (
     suspension,
 )
 from metric_repair.oracle import minimum_cycle_cover
+
+from conftest import packing_exceeds
 
 METRIC_TRIANGLE = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
@@ -211,7 +213,7 @@ def test_packing_bound_leaves_one_verifier_call_on_suspension(omega):
 @pytest.mark.parametrize("omega", BOTH_MODES)
 @pytest.mark.parametrize("n, k, seed", [(40, 4, 4), (40, 4, 13), (30, 5, 4), (30, 5, 5)])
 def test_deep_planted_draws_reach_the_triangle_cover_optimum(n, k, seed, omega):
-    # Without the packing bound each of these makes 3,000 to 35,000 Verifier calls.
+    # Without the cut each of these makes 3,000 to 35,000 Verifier calls.
     g = planted_chordal(n, k, seed=seed).instance
     result = fpt_min_repair(g, omega)
     assert len(result.support) == minimum_cycle_cover(g, omega)[0]
@@ -239,7 +241,7 @@ def test_optimum_equals_the_exact_cover_past_the_enumeration_limit(omega):
        increase=st.booleans(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_support_missing_a_triangle_mask_is_rejected(seed, n, increase, data):
-    # The lemma the packing bound rests on: a support that misses the
+    # The lemma the cut rests on: a support that misses the
     # admissible edges of some broken triangle admits no repair.
     omega = OmegaClass.INCREASE_ONLY if increase else OmegaClass.GENERAL
     g = planted_chordal(n, 3, seed=seed).instance
@@ -278,28 +280,36 @@ def test_min_repair_stats_add_up_every_round(monkeypatch, omega):
 # One row per (graph, omega): support and delta {edge: value}, budget, and
 # FptStats(nodes, leaves, pruned, max_pool, pool_clamp_events).  These pin the
 # search order as well as the answer; a change that reorders the search or
-# cuts more nodes must update them on purpose.  The planted60 rows are deep
-# draws (optimum 7) whose thousands of nodes show any change in branching.
+# cuts more nodes must update them on purpose.  The planted60, planted100 and
+# planted150 rows are deep draws (optima 7, 12 and 11) whose thousands of
+# nodes show any change in branching or in the cut.
 _SUSPENSION_SUPPORT = {(0, 8): 2, (2, 8): 2, (4, 8): 2, (6, 8): 2}
 _PC30_SUPPORT = {(1, 3): 9, (1, 23): 10, (2, 13): 7, (3, 23): 8}
 _PC40_SUPPORT = {(5, 25): 9, (6, 7): 9, (11, 16): 8, (11, 29): 7}
 _PC60_3_SHARED = {(0, 4): 4, (0, 24): 1, (3, 38): 5, (4, 14): 3, (4, 43): 4, (20, 52): 9}
 _PC60_5_SUPPORT = {(0, 7): 7, (0, 16): 5, (0, 23): 5, (0, 24): 6, (2, 3): 3, (4, 29): 6,
                    (12, 48): 5}
+_PC150_SUPPORT = {(0, 1): 1, (0, 2): 6, (0, 5): 3, (1, 10): 2, (1, 12): 6, (1, 29): 3,
+                  (3, 73): 7, (4, 7): 5, (6, 9): 3, (8, 10): 9, (9, 34): 3}
+_PC100_SUPPORT = {(0, 1): 7, (0, 3): 3, (1, 7): 1, (1, 29): 5, (1, 44): 8, (1, 87): 2,
+                  (2, 54): 7, (3, 12): 7, (3, 65): 2, (4, 19): 4, (4, 53): 4, (21, 53): 5}
 PINNED_SEARCHES = [
     ("suspension8", OmegaClass.INCREASE_ONLY, _SUSPENSION_SUPPORT, 4, (10, 1, 5, 8, 0)),
     ("suspension8", OmegaClass.GENERAL, {(0, 1): -1, (2, 8): 2, (4, 8): 2, (6, 8): 2}, 4,
      (16, 1, 11, 15, 0)),
     ("planted30-5-5", OmegaClass.INCREASE_ONLY, _PC30_SUPPORT, 4, (10, 1, 5, 11, 0)),
-    ("planted30-5-5", OmegaClass.GENERAL, _PC30_SUPPORT, 4, (73, 2, 60, 16, 0)),
+    ("planted30-5-5", OmegaClass.GENERAL, _PC30_SUPPORT, 4, (37, 2, 28, 16, 0)),
     ("planted40-4-4", OmegaClass.INCREASE_ONLY, _PC40_SUPPORT, 4, (12, 1, 7, 14, 0)),
     ("planted40-4-4", OmegaClass.GENERAL, _PC40_SUPPORT, 4, (16, 1, 11, 21, 0)),
     ("planted60-10-3", OmegaClass.INCREASE_ONLY, {**_PC60_3_SHARED, (8, 27): 5}, 7,
      (3330, 17, 3160, 29, 0)),
     ("planted60-10-3", OmegaClass.GENERAL, {**_PC60_3_SHARED, (8, 15): -1}, 7,
      (6704, 82, 6184, 30, 0)),
-    ("planted60-10-5", OmegaClass.INCREASE_ONLY, _PC60_5_SUPPORT, 7, (16464, 4, 15560, 40, 0)),
-    ("planted60-10-5", OmegaClass.GENERAL, _PC60_5_SUPPORT, 7, (92653, 5, 88977, 60, 0)),
+    ("planted60-10-5", OmegaClass.INCREASE_ONLY, _PC60_5_SUPPORT, 7, (3163, 4, 3051, 40, 0)),
+    ("planted60-10-5", OmegaClass.GENERAL, _PC60_5_SUPPORT, 7, (6052, 5, 5908, 60, 0)),
+    ("planted150-20-0", OmegaClass.INCREASE_ONLY, _PC150_SUPPORT, 11, (431, 3, 407, 48, 0)),
+    ("planted150-20-0", OmegaClass.GENERAL, _PC150_SUPPORT, 11, (53976, 40, 51836, 60, 0)),
+    ("planted100-15-0", OmegaClass.INCREASE_ONLY, _PC100_SUPPORT, 12, (34543, 33, 33558, 47, 0)),
 ]
 
 
@@ -309,7 +319,9 @@ def test_min_repair_search_is_pinned(name, omega, delta, budget, stats):
          "planted30-5-5": lambda: planted_chordal(30, 5, seed=5).instance,
          "planted40-4-4": lambda: planted_chordal(40, 4, seed=4).instance,
          "planted60-10-3": lambda: planted_chordal(60, 10, seed=3).instance,
-         "planted60-10-5": lambda: planted_chordal(60, 10, seed=5).instance}[name]()
+         "planted60-10-5": lambda: planted_chordal(60, 10, seed=5).instance,
+         "planted150-20-0": lambda: planted_chordal(150, 20, seed=0).instance,
+         "planted100-15-0": lambda: planted_chordal(100, 15, seed=0).instance}[name]()
     result = fpt_min_repair(g, omega)
     assert result.support == frozenset(delta)
     assert result.delta.entries == delta
@@ -318,7 +330,8 @@ def test_min_repair_search_is_pinned(name, omega, delta, budget, stats):
 
 
 def _cover_over_orderings(self, support, hit, fresh, pool, in_pool):
-    """``_Search.cover`` as it was when each child got the pool less its own edge.
+    """``_Search.cover`` as it was when each child got the pool less its own edge,
+    and a node was cut by the greedy packing bound alone.
 
     That search reaches one support set once for every order in which it can
     be built; the search that branches over sets must give its answers.

@@ -1,4 +1,4 @@
-"""Enumeration and branch-and-bound oracles: agreement and guard rails."""
+"""Enumeration and lazy-covering oracles: agreement and guard rails."""
 
 from __future__ import annotations
 
@@ -26,10 +26,16 @@ from metric_repair.gadgets import (
     completed_cycle,
     cycle_fig_one,
     dense_block_matrix,
+    planted_chordal,
     sweep_worst_matrix,
 )
 
-from conftest import random_mixed_instance, verifier_subset_walk
+from conftest import (
+    lazy_cover_by_branch_and_bound,
+    minimum_hitting_set_by_branch_and_bound,
+    random_mixed_instance,
+    verifier_subset_walk,
+)
 
 
 C5 = WeightedGraph(5, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)])
@@ -161,6 +167,47 @@ def test_cover_scales_past_the_enumeration_limit():
         got, support = minimum_cycle_cover(g, OmegaClass.INCREASE_ONLY)
         assert got == len(support) == size
         assert verify_support(g, support, OmegaClass.INCREASE_ONLY).accepted
+
+
+@st.composite
+def covering_requirements(draw):
+    """``(m, masks)``: nonempty masks over at most 9 edge bits, with repeats
+    and masks nested in others."""
+    m = draw(st.integers(min_value=1, max_value=9))
+    mask = st.integers(min_value=1, max_value=(1 << m) - 1)
+    masks = draw(st.lists(mask, min_size=1, max_size=10))
+    extra = draw(st.lists(st.tuples(st.sampled_from(masks), mask), max_size=4))
+    masks += [outer & inner or outer for outer, inner in extra]  # nested in outer
+    masks += draw(st.lists(st.sampled_from(masks), max_size=3))  # repeats
+    return m, draw(st.permutations(masks))
+
+
+@given(covering_requirements())
+@example((3, [0b011, 0b110, 0b011, 0b010]))
+@example((4, [0b1111, 0b0011, 0b0001, 0b1100, 0b1000]))
+@settings(max_examples=300, deadline=None)
+def test_deepening_keeps_the_branch_and_bound_cover(instance):
+    # Each round of minimum_cycle_cover takes the first cover hits_within
+    # reaches at the least size, over the masks sorted by size: the cover
+    # the branch and bound kept, ties between equal covers included.
+    m, masks = instance
+    ordered = sorted(masks, key=lambda mask: (bin(mask).count("1"), mask))
+    size = 0
+    while (chosen := detect.hits_within(ordered, 0, size)) is None:
+        size += 1
+    assert (size, chosen) == minimum_hitting_set_by_branch_and_bound(masks, m)
+    assert bin(chosen).count("1") == size
+
+
+def test_lazy_cover_keeps_the_branch_and_bound_support():
+    graphs = [C5, cycle_fig_one(8), completed_cycle(6), completed_cycle(8),
+              sweep_worst_matrix(6).to_graph(), sweep_worst_matrix(8).to_graph(),
+              dense_block_matrix(16, 7).to_graph()]
+    graphs += [random_mixed_instance(seed=1200 + seed, max_n=7, max_m=12) for seed in range(10)]
+    graphs += [planted_chordal(60, 10, seed=seed).instance for seed in (3, 5)]
+    for g in graphs:
+        for omega in (OmegaClass.INCREASE_ONLY, OmegaClass.GENERAL):
+            assert minimum_cycle_cover(g, omega) == lazy_cover_by_branch_and_bound(g, omega)
 
 
 def test_cover_rejects_decrease_mode_as_a_precondition():
