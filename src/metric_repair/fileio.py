@@ -190,10 +190,13 @@ def parse_matrix_csv(text: str) -> WeightedGraph:
 
 
 def serialize_matrix_csv(g: WeightedGraph) -> str:
-    n, text = g.n, _formatted_weights(g)
-    rows = [",".join("0" if i == j else text.get((i, j) if i < j else (j, i), "")
-                     for j in range(n)) for i in range(n)]
-    return "\n".join(rows) + ("\n" if rows else "")
+    """One line of cells per row: "0" on the diagonal, the weight of each
+    edge, and an empty cell where there is no edge."""
+    n = g.n
+    cells = [[""] * i + ["0"] + [""] * (n - 1 - i) for i in range(n)]
+    for (u, v), text in _formatted_weights(g).items():
+        cells[u][v] = cells[v][u] = text
+    return "".join([",".join(row) + "\n" for row in cells])
 
 
 # -- repair deltas ------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 from .fileio import MAX_VERTICES, parse_exact
 from .graphs import DistanceMatrix, WeightedGraph, _trusted_graph, edge_key
-from .paths import apsp
+from .paths import _scaled_apsp, apsp
 
 GADGET_KINDS = (
     "CycleFig1",
@@ -174,11 +174,33 @@ def random_chordal_edges(n: int, rng: random.Random) -> tuple[tuple[int, int], .
 
 def metric_closure_weights(n: int, edges, rng: random.Random,
                            weight_range: tuple[int, int]) -> WeightedGraph:
-    """Random integer weights pulled down to their shortest-path distances."""
+    """Random integer weights pulled down to their shortest-path distances.
+
+    The inputs are checked in one pass before anything is drawn: ``n >= 0``,
+    ``0 <= lo <= hi``, and ``edges`` distinct pairs of distinct vertices
+    below ``n`` (a reversed pair such as ``(1, 0)`` is the edge ``(0, 1)``).
+    Then one ``rng.randint(lo, hi)`` is drawn per edge, in the given edge
+    order, so a seed gives the same stream and the same graph.  One
+    shortest-path run on the drawn integers (scale 1) gives each edge its
+    distance, read by ``edge``, and the graph is built once from those, its
+    weight store in edge order.
+    """
     lo, hi = weight_range
-    raw = WeightedGraph(n, ((u, v, rng.randint(lo, hi)) for (u, v) in edges))
-    d = apsp(raw)  # integer weights: distances are on scale 1
-    return raw.replace_weights({(u, v): d.edge(u, v) for (u, v) in raw.edges})
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if not 0 <= lo <= hi:
+        raise ValueError(f"weight range ({lo}, {hi}) needs 0 <= lo <= hi")
+    pairs: dict[tuple[int, int], None] = {}
+    for u, v in edges:
+        key = edge_key(u, v)
+        if not (0 <= key[0] and key[1] < n):
+            raise ValueError(f"edge {key} out of range for n={n}")
+        if key in pairs:
+            raise ValueError(f"duplicate edge {key}")
+        pairs[key] = None
+    drawn = {key: rng.randint(lo, hi) for key in pairs}
+    d = _scaled_apsp(n, 1, drawn)
+    return _trusted_graph(n, {(u, v): d.edge(u, v) for u, v in drawn})
 
 
 def _plant_decreases(g: WeightedGraph, k: int, rng: random.Random):

@@ -15,11 +15,12 @@ from metric_repair import (
     DistanceMatrix,
     InputFormatError,
     WeightedGraph,
+    apsp,
     edge_key,
     verify_support,
 )
 from metric_repair.detect import broken_triangles, cover_masks, mask_edges
-from metric_repair.fileio import MAX_VERTICES, _printable, parse_exact
+from metric_repair.fileio import MAX_VERTICES, _formatted_weights, _printable, parse_exact
 from metric_repair.graphs import clipped
 from metric_repair.oracle import _repair_or_missed_mask
 
@@ -401,3 +402,26 @@ def reference_elimination_ordering(g: WeightedGraph) -> tuple[int, ...] | None:
             if u != parent and u not in neighbor_sets[parent]:
                 return None
     return tuple(elimination)
+
+
+# -- reference generator and matrix writer ----------------------------------------
+
+
+def reference_metric_closure_weights(n: int, edges, rng: random.Random,
+                                     weight_range: tuple[int, int]) -> WeightedGraph:
+    """Random integer weights pulled down to their shortest-path distances.
+
+    The checked two-step closure the one-build one must match: a checked
+    graph of the draws, then every weight replaced by its distance."""
+    lo, hi = weight_range
+    raw = WeightedGraph(n, ((u, v, rng.randint(lo, hi)) for (u, v) in edges))
+    d = apsp(raw)  # integer weights: distances are on scale 1
+    return raw.replace_weights({(u, v): d.edge(u, v) for (u, v) in raw.edges})
+
+
+def reference_serialize_matrix_csv(g: WeightedGraph) -> str:
+    """The matrix writer that looks up every cell by its pair."""
+    n, text = g.n, _formatted_weights(g)
+    rows = [",".join("0" if i == j else text.get((i, j) if i < j else (j, i), "")
+                     for j in range(n)) for i in range(n)]
+    return "\n".join(rows) + ("\n" if rows else "")

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_repair import InputFormatError, OmegaClass, RepairDelta, WeightedGraph
 from metric_repair.fileio import (
@@ -25,7 +28,7 @@ from metric_repair.fileio import (
     serialize_matrix_csv,
 )
 
-from conftest import first_primes
+from conftest import first_primes, reference_serialize_matrix_csv
 
 
 def test_format_exact_decimals_and_fractions():
@@ -65,6 +68,26 @@ def test_matrix_round_trip_with_missing_cells():
     assert not g.has_edge(0, 2)
     canonical = serialize_matrix_csv(g)
     assert serialize_matrix_csv(parse_matrix_csv(canonical)) == canonical
+
+
+@st.composite
+def matrices_with_missing_cells(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    cell = st.none() | st.builds(Fraction, st.integers(0, 60),
+                                 st.sampled_from((1, 2, 3, 4, 7, 8, 25)))
+    edges = [(u, v, w) for u, v in combinations(range(n), 2)
+             if (w := draw(cell)) is not None]
+    draw(st.randoms(use_true_random=False)).shuffle(edges)  # any store order
+    return WeightedGraph(n, edges)
+
+
+@given(matrices_with_missing_cells())
+@settings(max_examples=200, deadline=None)
+def test_matrix_writer_matches_the_per_cell_writer_and_round_trips(g):
+    text = serialize_matrix_csv(g)
+    assert text == reference_serialize_matrix_csv(g)
+    assert parse_matrix_csv(text) == g
+    assert serialize_matrix_csv(parse_matrix_csv(text)) == text
 
 
 def test_matrix_nan_marks_missing():

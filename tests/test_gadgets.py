@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +20,7 @@ from metric_repair import (
     minimum_cycle_cover,
 )
 from metric_repair.detect import broken_cycles
+from metric_repair.fileio import serialize_edge_list, serialize_matrix_csv
 from metric_repair.gadgets import (
     GadgetSpec,
     base_graph_edges,
@@ -27,14 +30,16 @@ from metric_repair.gadgets import (
     cycle_fig_one,
     cycle_tight,
     dense_block_matrix,
+    metric_closure_weights,
     planted_chordal,
     planted_complete,
+    random_chordal_edges,
     random_connected_graph,
     suspension,
     sweep_worst_matrix,
 )
 
-from conftest import min_vertex_cover_size
+from conftest import graph_state, min_vertex_cover_size, reference_metric_closure_weights
 
 
 def test_cycle_fig_one_optimum_is_one_in_every_class():
@@ -199,3 +204,88 @@ def test_cycle_tight_weights():
     g = cycle_tight(6)
     assert g.weight(0, 1) == 6
     assert g.weight(5, 0) == 1
+
+
+def _closure_matches_reference(n, edges, seed, weight_range):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = metric_closure_weights(n, edges, ours, weight_range)
+    want = reference_metric_closure_weights(n, edges, theirs, weight_range)
+    assert graph_state(got) == graph_state(want), (n, seed, weight_range)
+    assert ours.getstate() == theirs.getstate()  # the same draws, so the same stream after
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 63, 64, 120])
+def test_metric_closure_matches_the_checked_two_step_build_on_complete_graphs(n):
+    # n=2 and below take the sparse engine, 3..63 the lane kernel and 64 up
+    # numpy; weight 0 is drawn too, so zero-weight plateaus occur.
+    edges = tuple(combinations(range(n), 2))
+    for seed, weight_range in ((1, (1, 20)), (2, (0, 3)), (3, (7, 7))):
+        _closure_matches_reference(n, edges, seed, weight_range)
+
+
+def test_metric_closure_matches_the_checked_two_step_build_on_sparse_and_chordal_draws():
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        for m in (n - 1, min(3 * n, n * (n - 1) // 2), n * (n - 1) // 2 - 1):
+            edges = random_connected_graph(n, max(m, n - 1), rng)
+            _closure_matches_reference(n, edges, seed, (1, 20))
+        _closure_matches_reference(n, random_chordal_edges(n, rng), seed, (0, 10))
+    # Edges in an unsorted order with reversed pairs: the store keeps the
+    # given order, normalized.
+    edges = [(3, 1), (0, 2), (2, 1), (0, 3), (1, 0)]
+    _closure_matches_reference(4, edges, 5, (1, 9))
+    g = metric_closure_weights(4, edges, random.Random(5), (1, 9))
+    assert list(g.integer_form()[1]) == [(1, 3), (0, 2), (1, 2), (0, 3), (0, 1)]
+
+
+@pytest.mark.parametrize("weight_range", [(-2, 5), (-1, -1), (5, 2), (1, 0)])
+def test_metric_closure_refuses_a_bad_weight_range_before_drawing(weight_range):
+    # A negative lo used to fail only when a draw came out negative: (-2, 5)
+    # raised for seeds 1 and 2 but built a graph for seeds 0, 3 and 4.
+    for seed in range(5):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="needs 0 <= lo <= hi"):
+            metric_closure_weights(3, [(0, 1), (1, 2)], rng, weight_range)
+        assert rng.getstate() == state
+    with pytest.raises(ValueError, match="needs 0 <= lo <= hi"):
+        metric_closure_weights(3, [], random.Random(0), weight_range)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1), (1, 1)], r"self-loop \(1,1\)"),
+    (3, [(0, 1), (1, 3)], r"edge \(1, 3\) out of range for n=3"),
+    (3, [(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
+    (3, [(0, 1), (1, 2), (1, 0)], r"duplicate edge \(0, 1\)"),
+    (-1, [], "vertex count must be nonnegative"),
+])
+def test_metric_closure_refuses_bad_edges_before_drawing(n, edges, message):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=message):
+        metric_closure_weights(n, edges, rng, (1, 10))
+    assert rng.getstate() == state
+
+
+def test_metric_closure_normalizes_a_reversed_pair():
+    g = metric_closure_weights(3, [(1, 0), (2, 1)], random.Random(4), (1, 10))
+    assert g.edges == ((0, 1), (1, 2))
+    assert g == metric_closure_weights(3, [(0, 1), (1, 2)], random.Random(4), (1, 10))
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: serialize_matrix_csv(planted_complete(40, 1, seed=1).instance),
+     "f31ad2ee6f5a4237a333a98fdf7c22cfa4d75b0775a22eecb1dcd9a3f7a95682"),
+    (lambda: serialize_matrix_csv(planted_complete(120, 2, seed=1).instance),
+     "da4054fdff3d401aed18b2b46c6e09ab9db4b3d8a641648bbbcf11d9dd2934da"),
+    (lambda: serialize_matrix_csv(dense_block_matrix(60, 29)),
+     "bb0b51adf7f7d148b76ccaec210779cb65ae4caec11b54940a563779e9734d3e"),
+    (lambda: serialize_edge_list(planted_chordal(60, 10, 5).instance),
+     "566ec19ffb44e72ef0e9fb9a4f0e32e8c671d70647a8e0343a051e2efacc8637"),
+], ids=["planted-complete-40", "planted-complete-120", "dense-block-60-29",
+        "planted-chordal-60"])
+def test_generator_bytes_are_pinned(make, digest):
+    # n=40 runs the lane kernel and n=120 numpy; the same bytes on every
+    # supported Python.
+    assert hashlib.sha256(make().encode()).hexdigest() == digest
